@@ -2,9 +2,10 @@
 
 Subcommands: check, entail, normalize, saturate, export-datalog, oracle.
 Exit codes: 0 command completed (verdict in output), 1 usage error,
-2 parse error, 3 internal invariant violation (e.g. the saturation fact
-limit was exceeded). The environment variable SPEL_FACT_LIMIT overrides
-the saturation fact limit for check/entail/saturate.
+2 parse error, 3 a saturation stored more facts than allowed: either
+more than the environment variable SPEL_FACT_LIMIT allows (a cap for
+check/entail/saturate), or more than the polynomial fact bound, which is
+an internal invariant violation. The message on stderr says which.
 """
 
 from __future__ import annotations
@@ -245,7 +246,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{exc.path}:{err}", file=sys.stderr)
         return 2
     except FactLimitExceeded as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        if exc.at_bound:
+            print(f"internal invariant violated: {exc}", file=sys.stderr)
+        else:
+            print(f"error: SPEL_FACT_LIMIT exceeded: {exc}", file=sys.stderr)
         return 3
 
 

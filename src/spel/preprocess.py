@@ -26,6 +26,7 @@ an addressable witness standpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .model import (
     BOX,
@@ -103,11 +104,13 @@ class Universes:
 
 
 class FactStore:
-    """Interned fact set with provenance and on-demand secondary indexes.
+    """Fact set with provenance and incremental secondary indexes.
 
     Monotone: facts are only ever added. Each fact gets a dense integer id;
     provenance maps id -> (rule name, premise ids), with rule "input" and
-    no premises for seeds.
+    no premises for seeds. Saturation runs on a store of interned facts
+    (terms replaced by integers) and returns a readable one; the class is
+    the same.
     """
 
     def __init__(self, universes: Universes | None = None) -> None:
@@ -115,9 +118,14 @@ class FactStore:
         self.facts: list[Fact] = []
         self.fact_ids: dict[Fact, int] = {}
         self.provenance: list[tuple[str, tuple[int, ...]]] = []
+        #: per shape, the indexed facts (all of them unless added with
+        #: indexed=False)
         self.by_shape: dict[str, list[Fact]] = {}
-        # (shape, bound positions) -> {bound values -> [facts]}
-        self._indexes: dict[tuple, dict[tuple, list[Fact]]] = {}
+        # (shape, positions) -> {key -> [facts]}, where the key is the value
+        # at the one position, or the tuple of values at several
+        self._indexes: dict[tuple, dict] = {}
+        # shape -> [(key function, index)], the indexes add() keeps current
+        self._indexes_of: dict[str, list] = {}
         self.partial = False  # set when saturation early-exits
 
     def __contains__(self, fact: Fact) -> bool:
@@ -127,8 +135,10 @@ class FactStore:
         return len(self.facts)
 
     def add(self, fact: Fact, rule: str = INPUT_RULE,
-            premises: tuple[int, ...] = ()) -> int | None:
-        """Intern `fact`; returns its new id, or None if already present."""
+            premises: tuple[int, ...] = (),
+            indexed: bool = True) -> int | None:
+        """Store `fact`; returns its new id, or None if already present.
+        Unindexed facts are invisible to `by_shape` and `lookup_pos`."""
         if fact in self.fact_ids:
             return None
         if fact[0] not in FACT_SHAPES:
@@ -137,32 +147,32 @@ class FactStore:
         self.facts.append(fact)
         self.fact_ids[fact] = fid
         self.provenance.append((rule, premises))
-        self.by_shape.setdefault(fact[0], []).append(fact)
-        for key, table in self._indexes.items():
-            if key[0] == fact[0]:
-                vals = tuple(fact[p] for p in key[1])
-                table.setdefault(vals, []).append(fact)
+        if indexed:
+            self.by_shape.setdefault(fact[0], []).append(fact)
+            for key_of, table in self._indexes_of.get(fact[0], ()):
+                key = key_of(fact)
+                bucket = table.get(key)
+                if bucket is None:
+                    table[key] = [fact]
+                else:
+                    bucket.append(fact)
         return fid
 
     def lookup_pos(self, shape: str, positions: tuple[int, ...],
-                   values: tuple) -> list[Fact]:
-        """Facts of `shape` whose `positions` hold exactly `values`."""
+                   key) -> list[Fact]:
+        """Indexed facts of `shape` whose `positions` hold `key`: the value
+        itself for one position, the tuple of values for several."""
         if not positions:
             return self.by_shape.get(shape, _EMPTY)
-        key = (shape, positions)
-        table = self._indexes.get(key)
+        table = self._indexes.get((shape, positions))
         if table is None:
+            key_of = itemgetter(*positions)
             table = {}
             for f in self.by_shape.get(shape, ()):
-                table.setdefault(tuple(f[p] for p in positions), []).append(f)
-            self._indexes[key] = table
-        return table.get(values, _EMPTY)
-
-    def lookup(self, shape: str, bound: dict[int, object]) -> list[Fact]:
-        """Facts of `shape` agreeing with `bound` (position -> value)."""
-        positions = tuple(sorted(bound))
-        return self.lookup_pos(shape, positions,
-                               tuple(bound[p] for p in positions))
+                table.setdefault(key_of(f), []).append(f)
+            self._indexes[(shape, positions)] = table
+            self._indexes_of.setdefault(shape, []).append((key_of, table))
+        return table.get(key, _EMPTY)
 
     def copy(self) -> "FactStore":
         out = FactStore(self.universes.copy())
@@ -190,10 +200,6 @@ def ext_concept(c: ConceptTerm) -> ExtConcept:
     if isinstance(c, SelfLoop):
         return ("self", c.role)
     raise PreprocessError(f"not an atomic concept: {c!r}")
-
-
-def _is_atomic(c: ConceptTerm) -> bool:
-    return isinstance(c, (Top, Bottom, Name, Nominal, SelfLoop))
 
 
 def statement_to_fact(st) -> Fact:

@@ -151,10 +151,3 @@ def _entails_dia_monomial(kb: KnowledgeBase, query: ModalFormula,
         if boxed_all:
             return EntailResult(ENTAILED, subchecks, witness_standpoint=u)
     return EntailResult(NOT_ENTAILED, subchecks)
-
-
-def intermediate_entailments(kb: KnowledgeBase, queries: list[Query],
-                             fact_limit: int | None = None
-                             ) -> list[tuple[Query, EntailResult]]:
-    """`entails` applied to each query in order."""
-    return [(q, entails(kb, q, fact_limit=fact_limit)) for q in queries]

@@ -33,15 +33,18 @@ Two mechanical speedups, invisible in the results:
   the declarative table in `rules` stays the single source of truth
   (trace replay re-checks every derivation against it through
   `apply_rule`);
-- inside a run, all terms (standpoints, roles, individuals, extended
-  concepts) are interned to integers, with side tables linking nominals
-  and self-loop concepts to their individual/role; the result store is
-  converted back to readable tuples.
+- each run interns its terms (standpoints, roles, individuals, extended
+  concepts) to integers in tables of its own, with maps linking nominals
+  and self-loop concepts to their individual/role, and joins over a
+  `FactStore` of interned facts; at the end it decodes that store once
+  into a readable `FactStore`. Only `*`, Top and Bot, the constants the
+  compiled joins hold, have fixed ids, so runs share no mutable state and
+  may go on side by side in threads.
 
 The fact space is fixed by the universes, so the run is bounded by an
-explicit polynomial; exceeding it (or a caller-supplied limit) raises,
-signalling an engine bug rather than a big input. Both count stored
-facts only.
+explicit polynomial; exceeding it signals an engine bug rather than a big
+input. A caller may set a lower limit. Both count stored facts only, and
+the error says which one tripped.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from __future__ import annotations
 from collections import deque
 from functools import cache
 from itertools import product
-from operator import itemgetter
 
 from .model import UNIVERSAL
 from .preprocess import (
@@ -64,7 +66,14 @@ from .rules import RULES, Rule, Var, instantiate_conclusion
 
 
 class FactLimitExceeded(RuntimeError):
-    pass
+    """A saturation stored more facts than allowed. `at_bound` tells which
+    limit tripped: the polynomial fact bound, which only an engine bug can
+    exceed, or a smaller limit the caller gave."""
+
+    def __init__(self, count: int, limit: int, at_bound: bool) -> None:
+        what = "the polynomial fact bound" if at_bound else "the fact limit"
+        super().__init__(f"{count} facts exceed {what} {limit}")
+        self.at_bound = at_bound
 
 
 def polynomial_fact_bound(universes: Universes) -> int:
@@ -88,41 +97,20 @@ def polynomial_fact_bound(universes: Universes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Term interning (process-global, append-only)
+# Term interning
 # ---------------------------------------------------------------------------
 
-_TERMS: list = []
-_TERM_IDS: dict = {}
-#: nominal concept id <-> individual id, self concept id <-> role id
-NOM2IND: dict[int, int] = {}
-IND2NOM: dict[int, int] = {}
-SELF2ROLE: dict[int, int] = {}
-ROLE2SELF: dict[int, int] = {}
+#: The only terms with fixed ids: the constants of the rule patterns, which
+#: the compiled joins hold. Every other term is interned per run.
+_FIXED_TERMS = (UNIVERSAL, TOPC, BOTC)
+_FIXED_IDS = {t: i for i, t in enumerate(_FIXED_TERMS)}
+_STAR = _FIXED_IDS[UNIVERSAL]
+_TOP = _FIXED_IDS[TOPC]
 
-
-def _intern(term) -> int:
-    tid = _TERM_IDS.get(term)
-    if tid is None:
-        tid = len(_TERMS)
-        _TERMS.append(term)
-        _TERM_IDS[term] = tid
-        if isinstance(term, tuple) and len(term) == 2:
-            inner = _intern(term[1])
-            if term[0] == "nom":
-                NOM2IND[tid] = inner
-                IND2NOM[inner] = tid
-            elif term[0] == "self":
-                SELF2ROLE[tid] = inner
-                ROLE2SELF[inner] = tid
-    return tid
-
-
-def _intern_fact(fact: Fact) -> tuple:
-    return (fact[0],) + tuple(_intern(t) for t in fact[1:])
-
-
-def _readable_fact(ifact: tuple) -> Fact:
-    return (ifact[0],) + tuple(_TERMS[t] for t in ifact[1:])
+#: per nested concept tag, the names of the run's maps from the concept id
+#: to its individual/role id and back, as the compiled joins name them
+_NESTED_MAPS = {"nom": ("NOM2IND", "IND2NOM"),
+                "self": ("SELF2ROLE", "ROLE2SELF")}
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +131,6 @@ _TAUTOLOGY_FAMILIES = {
     "D=E": lambda pat: (pat[4], pat[5]),
     "E=Top": lambda pat: (pat[5], TOPC),
 }
-
-_STAR = _intern(UNIVERSAL)
-_TOP = _intern(TOPC)
 
 
 def _tautology_step(fact: tuple) -> tuple[str, tuple]:
@@ -227,10 +212,6 @@ def _var_names(pat: tuple) -> set[str]:
             if isinstance(p, Var) or _is_nested_var(p)}
 
 
-# variable side of nested patterns, per tag: (destructure map, rebuild map)
-_NESTED_MAPS = {"nom": ("NOM2IND", "IND2NOM"), "self": ("SELF2ROLE", "ROLE2SELF")}
-
-
 def _join_plan(rule: Rule, implicit: dict[int, str]):
     """The premise and conclusion patterns of `rule` when the premises in
     `implicit` are tautologies of the given families, or None when no such
@@ -255,25 +236,26 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
     """Compile the join of a `_join_plan` starting from premise position
     `i` (None: no popped fact), with the `implicit` premises generated
     rather than looked up, into a closure
-    fn(lookup, fact_ids, fact, fid, ranges, emit, derive)."""
+    fn(lookup, fact_ids, fact, fid, ranges, maps, emit, derive), where
+    `maps` holds the run's nominal and self-loop maps by name."""
     stored = [j for j in range(len(premises)) if j not in implicit]
-    consts: dict = {}
+    used_maps: set[str] = set()
 
     def term_expr(p) -> str:
         if isinstance(p, Var):
             return f"v_{p.name}"
         if _is_nested_var(p):
-            return f"{_NESTED_MAPS[p[0]][1]}[v_{p[1].name}]"
-        key = f"K{len(consts)}"
-        consts[key] = _intern(p)
-        return key
+            up = _NESTED_MAPS[p[0]][1]
+            used_maps.add(up)
+            return f"{up}[v_{p[1].name}]"
+        return str(_FIXED_IDS[p])
 
     def tuple_expr(pat: tuple) -> str:
         return "(" + ", ".join([repr(pat[0])]
                                + [term_expr(p) for p in pat[1:]]) + ")"
 
     lines: list[str] = [
-        "def _fn(lookup, fact_ids, fact, fid, ranges, emit, derive):"]
+        "def _fn(lookup, fact_ids, fact, fid, ranges, maps, emit, derive):"]
     ind = "    "
     bound: set[str] = set()
 
@@ -291,6 +273,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
             elif _is_nested_var(p):
                 v = p[1]
                 dmap = _NESTED_MAPS[p[0]][0]
+                used_maps.add(dmap)
                 if v.name in bound:
                     out.append(f"{ind}if {dmap}.get({src}[{j}], -1) != "
                                f"v_{v.name}: {bail}")
@@ -368,9 +351,8 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
     lines.append(f"{ind}if _c not in fact_ids:")
     lines.append(f"{ind}    emit(_c, {prems}, {rule.name!r})")
 
-    ns: dict = dict(consts)
-    ns.update(NOM2IND=NOM2IND, IND2NOM=IND2NOM,
-              SELF2ROLE=SELF2ROLE, ROLE2SELF=ROLE2SELF)
+    lines[1:1] = [f"    {m} = maps[{m!r}]" for m in sorted(used_maps)]
+    ns: dict = {}
     label = f"<join {rule.name} from {i}, implicit {implicit}>"
     exec(compile("\n".join(lines), label, "exec"), ns)  # noqa: S102
     return ns["_fn"]
@@ -427,60 +409,6 @@ class _Stop(Exception):
     pass
 
 
-class _EngineStore:
-    """Interned-fact twin of FactStore used inside one saturation run."""
-
-    __slots__ = ("facts", "fact_ids", "provenance", "by_shape", "_indexes",
-                 "_indexes_of")
-
-    def __init__(self) -> None:
-        self.facts: list[tuple] = []
-        self.fact_ids: dict[tuple, int] = {}
-        self.provenance: list[tuple[str, tuple[int, ...]]] = []
-        self.by_shape: dict[str, list[tuple]] = {}
-        # (shape, positions) -> {key -> [facts]}, where the key is the value
-        # at the one position, or the tuple of values at several
-        self._indexes: dict[tuple, dict] = {}
-        # shape -> [(key function, index)], the indexes add() keeps current
-        self._indexes_of: dict[str, list] = {}
-
-    def add(self, fact: tuple, rule: str, premises: tuple[int, ...],
-            indexed: bool = True) -> bool:
-        """Store `fact`; unindexed facts are invisible to joins."""
-        if fact in self.fact_ids:
-            return False
-        self.fact_ids[fact] = len(self.facts)
-        self.facts.append(fact)
-        self.provenance.append((rule, premises))
-        if indexed:
-            self.by_shape.setdefault(fact[0], []).append(fact)
-            for key_of, table in self._indexes_of.get(fact[0], ()):
-                key = key_of(fact)
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [fact]
-                else:
-                    bucket.append(fact)
-        return True
-
-    def lookup_pos(self, shape: str, positions: tuple[int, ...],
-                   key) -> list[tuple]:
-        if not positions:
-            return self.by_shape.get(shape, _NO_FACTS)
-        table = self._indexes.get((shape, positions))
-        if table is None:
-            key_of = itemgetter(*positions)
-            table = {}
-            for f in self.by_shape.get(shape, ()):
-                table.setdefault(key_of(f), []).append(f)
-            self._indexes[(shape, positions)] = table
-            self._indexes_of.setdefault(shape, []).append((key_of, table))
-        return table.get(key, _NO_FACTS)
-
-
-_NO_FACTS: list = []
-
-
 def saturate(store: FactStore, early_exit_on_refutation: bool = True,
              fact_limit: int | None = None,
              worklist: str = "fifo") -> FactStore:
@@ -491,52 +419,75 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     `early_exit_on_refutation` the run may stop as soon as the refutation
     fact appears (the result is then marked partial). `worklist` ("fifo"
     or "lifo") only affects processing order, never the final set — used
-    by the order-independence tests.
+    by the order-independence tests. Raises FactLimitExceeded when more
+    facts are stored than the polynomial bound or `fact_limit` allows.
     """
     bound = polynomial_fact_bound(store.universes)
-    limit = bound if fact_limit is None else fact_limit
+    limit = bound if fact_limit is None else min(bound, fact_limit)
 
-    # Intern the universes first so the nominal/self side tables are
-    # complete before any rule fires. `*` and Top lead their ranges: they
-    # are the values an implicit premise takes where any value will do.
+    # This run's interning tables: term <-> id, and the maps between a
+    # nominal (self-loop) concept id and its individual (role) id.
+    terms = list(_FIXED_TERMS)
+    term_ids = dict(_FIXED_IDS)
+    maps: dict[str, dict[int, int]] = {
+        name: {} for pair in _NESTED_MAPS.values() for name in pair}
+
+    def intern(term) -> int:
+        tid = term_ids.get(term)
+        if tid is None:
+            tid = term_ids[term] = len(terms)
+            terms.append(term)
+            if isinstance(term, tuple) and term[0] in _NESTED_MAPS:
+                down, up = _NESTED_MAPS[term[0]]
+                inner = intern(term[1])
+                maps[down][tid] = inner
+                maps[up][inner] = tid
+        return tid
+
+    def intern_fact(fact: Fact) -> tuple:
+        return (fact[0],) + tuple([intern(t) for t in fact[1:]])
+
+    # Intern the universes first so the nominal/self maps are complete
+    # before any rule fires. `*` and Top lead their ranges: they are the
+    # values an implicit premise takes where any value will do.
     uni = store.universes
     ranges: dict = {
-        "standpoint": [_intern(t) for t in sorted(
+        "standpoint": [intern(t) for t in sorted(
             uni.standpoints, key=lambda s: (s != UNIVERSAL, s))],
-        "role": [_intern(t) for t in sorted(uni.roles)],
-        "individual": [_intern(t) for t in sorted(uni.individuals)],
-        "concept": [_intern(t) for t in
+        "role": [intern(t) for t in sorted(uni.roles)],
+        "individual": [intern(t) for t in sorted(uni.individuals)],
+        "concept": [intern(t) for t in
                     sorted(uni.concepts, key=lambda c: (c != TOPC, repr(c)))],
     }
     for kind in list(ranges):
         ranges[("any", kind)] = ranges[kind][:1]
-    refutation = _intern_fact(REFUTATION_FACT)
+    refutation = intern_fact(REFUTATION_FACT)
 
-    eng = _EngineStore()
+    eng = FactStore(uni)
+    add = eng.add
+    fact_ids = eng.fact_ids
+
+    def check_limit() -> None:
+        if len(fact_ids) > limit:
+            raise FactLimitExceeded(len(fact_ids), limit, limit == bound)
+
     for fid, fact in enumerate(store.facts):
         rule, premises = store.provenance[fid]
-        eng.add(_intern_fact(fact), rule, premises)
+        add(intern_fact(fact), rule, premises)
     for rule in RULES:
         if not rule.premises:
             for fact in instantiate_conclusion(rule, {}, uni):
                 if not _is_tautology(fact):
-                    eng.add(_intern_fact(fact), rule.name, ())
-    if len(eng.facts) > limit:
-        raise FactLimitExceeded(f"{len(eng.facts)} facts exceed limit {limit}")
+                    add(intern_fact(fact), rule.name, ())
+    check_limit()
 
     queue: deque[tuple] = deque(eng.facts)
     pop = queue.popleft if worklist == "fifo" else queue.pop
-    fact_ids = eng.fact_ids
     lookup = eng.lookup_pos
     partial = False
 
-    def check_limit() -> None:
-        if len(fact_ids) > limit:
-            raise FactLimitExceeded(
-                f"{len(fact_ids)} facts exceed limit {limit} (bound {bound})")
-
     def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
-        eng.add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
+        add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
         check_limit()
         queue.append(concl)
         if early_exit_on_refutation and concl == refutation:
@@ -549,29 +500,35 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         for p in premises:
             if p not in fact_ids:
                 derive(p)
-        eng.add(taut, rule_name, tuple([fact_ids[p] for p in premises]),
-                indexed=False)
+        add(taut, rule_name, tuple([fact_ids[p] for p in premises]),
+            indexed=False)
         check_limit()
 
     dispatch, seed_joins = _compile_all()
     if not (early_exit_on_refutation and refutation in fact_ids):
         try:
             for fn in seed_joins:
-                fn(lookup, fact_ids, None, -1, ranges, emit, derive)
+                fn(lookup, fact_ids, None, -1, ranges, maps, emit, derive)
             while queue:
                 fact = pop()
                 fid = fact_ids[fact]
                 for fn in dispatch.get(fact[0], ()):
-                    fn(lookup, fact_ids, fact, fid, ranges, emit, derive)
+                    fn(lookup, fact_ids, fact, fid, ranges, maps, emit,
+                       derive)
         except _Stop:
             partial = True
     elif early_exit_on_refutation:
         partial = True
 
-    out = FactStore(store.universes.copy())
-    for fid, ifact in enumerate(eng.facts):
-        rule, premises = eng.provenance[fid]
-        out.add(_readable_fact(ifact), rule, premises)
+    # Decode into a readable store; ids and provenance carry over as they
+    # are, and every fact is listed by shape.
+    out = FactStore(uni.copy())
+    out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]])
+                 for f in eng.facts]
+    out.fact_ids = dict(zip(out.facts, range(len(out.facts))))
+    out.provenance = eng.provenance
+    for fact in out.facts:
+        out.by_shape.setdefault(fact[0], []).append(fact)
     out.partial = partial
     return out
 

@@ -100,8 +100,8 @@ def _axiom(rng: random.Random, p: GenParams):
 
 def _statement(rng: random.Random, p: GenParams):
     if rng.random() < 0.15:
-        lhs = tuple({_standpoint(rng, p)
-                     for _ in range(rng.randint(1, 2))} - {"*"}) or ("S0",)
+        drawn = {_standpoint(rng, p) for _ in range(rng.randint(1, 2))}
+        lhs = tuple(sorted(drawn - {"*"})) or ("S0",)
         rhs = rng.choice([_standpoint(rng, p), EMPTY])
         negated = p.allow_negation and rng.random() < 0.3
         return Sharpening(negated, lhs, rhs)

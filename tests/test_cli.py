@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from spel import saturation
 from spel.cli import main
 from spel.normalize import normalize
 from spel.parser import parse_kb
@@ -70,8 +71,18 @@ def test_bad_syntax_is_parse_error(capsys, tmp_path):
 
 def test_fact_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("SPEL_FACT_LIMIT", "100")
-    code, _, _ = run(capsys, "check", EXAMPLE1)
+    code, _, err = run(capsys, "check", EXAMPLE1)
     assert code == 3
+    assert "SPEL_FACT_LIMIT" in err
+    assert "internal invariant" not in err
+    # a breach of the polynomial bound is an engine bug, whatever the cap
+    monkeypatch.setattr(saturation, "polynomial_fact_bound", lambda u: 100)
+    monkeypatch.setenv("SPEL_FACT_LIMIT", "1000000000")
+    code, _, err = run(capsys, "check", EXAMPLE1)
+    assert code == 3
+    assert "internal invariant violated" in err
+    assert "SPEL_FACT_LIMIT" not in err
+    monkeypatch.undo()
     monkeypatch.setenv("SPEL_FACT_LIMIT", "banana")
     code, _, err = run(capsys, "check", EXAMPLE1)
     assert code == 1

@@ -154,9 +154,16 @@ def test_store_lookup_and_copy():
     store.add(("sharper", "H", "SN"))
     store.add(("sharper", "L", "SN"))
     store.add(("sharper", "SN", UNIVERSAL))
-    assert sorted(store.lookup("sharper", {2: "SN"})) == [
+    assert sorted(store.lookup_pos("sharper", (2,), "SN")) == [
         ("sharper", "H", "SN"), ("sharper", "L", "SN"),
     ]
+    # the index is kept current; unindexed facts stay out of it
+    store.add(("sharper", "M", "SN"))
+    store.add(("sharper", "N", "SN"), indexed=False)
+    assert len(store.lookup_pos("sharper", (2,), "SN")) == 3
+    assert store.lookup_pos("sharper", (1, 2), ("M", "SN")) == [
+        ("sharper", "M", "SN")]
+    assert ("sharper", "N", "SN") in store
     dup = store.copy()
     dup.add(("sharper", "H", UNIVERSAL))
-    assert len(store) == 3 and len(dup) == 4
+    assert len(store) == 5 and len(dup) == 6

@@ -23,7 +23,6 @@ from spel.reasoner import (
     NegatedFormula,
     check_sat,
     entails,
-    intermediate_entailments,
 )
 
 
@@ -139,12 +138,3 @@ def test_subchecks_recorded():
     for desc, sub in res.subchecks:
         assert isinstance(desc, str)
         assert sub.verdict in (SAT, UNSAT)
-
-
-def test_intermediate_entailments(queries_kb, example1_kb):
-    assert intermediate_entailments(example1_kb, []) == []
-    q = boxed("H", GCI(Name("Tumour"), Name("Process")))
-    results = intermediate_entailments(example1_kb, [q])
-    assert len(results) == 1
-    query, res = results[0]
-    assert query == q and res.verdict == ENTAILED

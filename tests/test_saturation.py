@@ -1,7 +1,11 @@
 """Tests for the saturation engine, the rule table, and trace replay."""
 
+import sys
+import threading
+
 import pytest
 
+from spel import saturation
 from spel.model import (
     BOT,
     TOP,
@@ -155,9 +159,49 @@ def test_polynomial_bound_holds(example1_store):
         assert len(out) <= polynomial_fact_bound(out.universes)
 
 
-def test_fact_limit_exceeded(example1_kb):
-    with pytest.raises(FactLimitExceeded):
+def test_fact_limit_exceeded(example1_kb, monkeypatch):
+    with pytest.raises(FactLimitExceeded) as caller:
         saturate(prep(example1_kb), fact_limit=100)
+    assert not caller.value.at_bound
+    assert str(caller.value).endswith("the fact limit 100")
+    # a caller limit above the bound leaves the bound in force
+    monkeypatch.setattr(saturation, "polynomial_fact_bound", lambda u: 100)
+    with pytest.raises(FactLimitExceeded) as breach:
+        saturate(prep(example1_kb), fact_limit=10**9)
+    assert breach.value.at_bound
+    assert str(breach.value).endswith("the polynomial fact bound 100")
+
+
+def test_threaded_runs_match_sequential():
+    """Each run interns its terms in tables of its own, so saturations
+    going on side by side give the stores of a sequential run."""
+    stores = [prep(generate_kb(seed, TINY_PARAMS)) for seed in range(1, 9)]
+    expected = [saturate(s, early_exit_on_refutation=False) for s in stores]
+    results: dict = {}
+    start = threading.Barrier(2)
+
+    def work(order):
+        start.wait()
+        for k in order:
+            results[k, order[0]] = saturate(stores[k],
+                                            early_exit_on_refutation=False)
+
+    threads = [threading.Thread(target=work, args=(order,))
+               for order in (range(8), range(7, -1, -1))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, inside the joins
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 16
+    for (k, _), out in results.items():
+        assert out.facts == expected[k].facts
+        assert out.provenance == expected[k].provenance
 
 
 def test_every_derivation_replays():
