@@ -1,11 +1,12 @@
 """Datalog code generation for the saturation calculus.
 
 `export` turns a seed fact store into a two-part Datalog program: a rules
-file generated from the shared rule table, and a facts file holding one
-ground atom per seed fact plus vocabulary-helper atoms. Running the program
-in any Datalog engine materializes the same closure the native engine
-computes; the knowledge base is inconsistent exactly when the fixpoint
-contains gci_nested("STAR","TOP","STAR","TOP","BOT").
+file generated from the shared rule table, with one predicate per shape of
+`preprocess.FACT_SHAPES`, and a facts file holding one ground atom per
+seed fact plus vocabulary-helper atoms. Running the program in any Datalog
+engine materializes the same closure the native engine computes; the
+knowledge base is inconsistent exactly when the fixpoint contains
+gci_nested("STAR","TOP","STAR","TOP","BOT").
 
 Encoding conventions:
   * all constants are quoted strings; the universal standpoint, top and
@@ -21,21 +22,14 @@ Encoding conventions:
 from __future__ import annotations
 
 from .model import UNIVERSAL
-from .preprocess import BOTC, TOPC, FactStore
-from .rules import RULES, Rule, Var
+from .preprocess import FACT_SHAPES, FactStore
+from .rules import RULES, Rule, Var, is_nested
 
-#: Predicate signatures, in declaration order.
-PREDICATES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("sharper", ("s1", "s2")),
-    ("sharper_intersection", ("s1", "s2", "s3")),
-    ("ria2", ("s", "r1", "r2")),
-    ("ria3", ("s", "r1", "r2", "r3")),
-    ("gci_nested", ("t", "c", "s", "d", "e")),
-    ("gci_dia_right", ("t", "c", "s", "d")),
-    ("gci_ex_right", ("s", "c", "r", "d")),
-    ("gci_ex_left", ("s", "r", "c", "d")),
-    ("gci_con_left", ("s", "c1", "c2", "d")),
-    ("role_assertion", ("s", "r", "a", "b")),
+#: Predicate signatures, in declaration order: the fact shapes, then the
+#: vocabulary helpers.
+PREDICATES: tuple[tuple[str, tuple[str, ...]], ...] = tuple(
+    (shape, tuple(name for name, _ in positions))
+    for shape, positions in FACT_SHAPES.items()) + (
     ("is_sn", ("s",)),
     ("is_rn", ("r",)),
     ("is_cn", ("c",)),
@@ -44,7 +38,9 @@ PREDICATES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("self_of", ("c", "r")),
 )
 
-_RANGE_HELPER = {"standpoint": "is_sn", "role": "is_rn", "concept": "is_cn"}
+#: per universe kind, the body atom that ranges a variable over it
+_RANGE_ATOM = {"standpoint": "is_sn({})", "role": "is_rn({})",
+               "concept": "is_cn({})", "individual": "is_nom(nom_{})"}
 
 
 def _const(value) -> str:
@@ -69,66 +65,41 @@ def _const(value) -> str:
     return f'"{escaped}"'
 
 
-def _scan_vars(rule: Rule) -> tuple[set, set, set]:
-    """Variable names used raw / inside nom(...) / inside self(...)."""
-    raw, in_nom, in_self = set(), set(), set()
-    for pattern in rule.premises + (rule.conclusion,):
-        for term in pattern[1:]:
-            if isinstance(term, Var):
-                raw.add(term.name)
-            elif isinstance(term, tuple) and len(term) > 1 \
-                    and isinstance(term[1], Var):
-                (in_nom if term[0] == "nom" else in_self).add(term[1].name)
-    return raw, in_nom, in_self
-
-
-def _term(term, in_nom: set, in_self: set) -> str:
+def _term(term) -> str:
     if isinstance(term, Var):
         return term.name
-    if isinstance(term, tuple) and len(term) > 1 \
-            and isinstance(term[1], Var):
-        prefix = "nom_" if term[0] == "nom" else "self_"
-        return prefix + term[1].name
+    if is_nested(term) and isinstance(term[1], Var):
+        return f"{term[0]}_{term[1].name}"
     return _const(term)
 
 
-def _atom(pattern, in_nom: set, in_self: set) -> str:
-    args = ",".join(_term(t, in_nom, in_self) for t in pattern[1:])
-    return f"{pattern[0]}({args})"
+def _atom(pattern) -> str:
+    return f"{pattern[0]}({','.join(_term(t) for t in pattern[1:])})"
 
 
 def rule_to_datalog(rule: Rule) -> str:
     """One Datalog rule; extra body atoms destructure nominal/self
     constants and enumerate range variables over the vocabulary."""
-    raw, in_nom, in_self = _scan_vars(rule)
-    body = [_atom(p, in_nom, in_self) for p in rule.premises]
-    for name in sorted(in_nom):
-        if name in raw:
-            body.append(f"nom_of(nom_{name},{name})")
-    for name in sorted(in_self):
-        if name in raw:
-            body.append(f"self_of(self_{name},{name})")
-    for var, kind in rule.ranges:
-        if kind == "individual":
-            body.append(f"is_nom(nom_{var})")
-        else:
-            body.append(f"{_RANGE_HELPER[kind]}({var})")
-    head = _atom(rule.conclusion, in_nom, in_self)
-    return f"{head} :- {', '.join(body)}."
+    terms = [t for p in rule.premises + (rule.conclusion,) for t in p[1:]]
+    raw = {t.name for t in terms if isinstance(t, Var)}
+    nested = {(t[0], t[1].name) for t in terms
+              if is_nested(t) and isinstance(t[1], Var)}
+    body = [_atom(p) for p in rule.premises]
+    body += [f"{tag}_of({tag}_{name},{name})"
+             for tag, name in sorted(nested) if name in raw]
+    body += [_RANGE_ATOM[kind].format(var) for var, kind in rule.ranges]
+    return f"{_atom(rule.conclusion)} :- {', '.join(body)}."
 
 
 def _vocabulary_atoms(store: FactStore) -> list[str]:
     uni = store.universes
-    lines = [f"is_sn({_const(s)})." for s in sorted(uni.standpoints)]
-    lines += [f"is_rn({_const(r)})." for r in sorted(uni.roles)]
-    noms = sorted(uni.individuals)
+    roles, noms = uni.of("role"), uni.of("individual")
+    lines = [f"is_sn({_const(s)})." for s in uni.of("standpoint")]
+    lines += [f"is_rn({_const(r)})." for r in roles]
     lines += [f"is_nom({_const(('nom', a))})." for a in noms]
-    concepts = [TOPC, BOTC]
-    concepts += sorted(uni.concepts - set(concepts), key=repr)
-    lines += [f"is_cn({_const(c)})." for c in concepts]
+    lines += [f"is_cn({_const(c)})." for c in uni.of("concept")]
     lines += [f"nom_of({_const(('nom', a))},{_const(a)})." for a in noms]
-    lines += [f"self_of({_const(('self', r))},{_const(r)})."
-              for r in sorted(uni.roles)]
+    lines += [f"self_of({_const(('self', r))},{_const(r)})." for r in roles]
     return lines
 
 

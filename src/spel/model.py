@@ -7,7 +7,7 @@ presentation order (duplicates are removed at construction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 BOX = "box"

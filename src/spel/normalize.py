@@ -31,7 +31,6 @@ from .model import (
     Exists,
     GCI,
     KnowledgeBase,
-    Literal,
     Modal,
     ModalFormula,
     Name,
@@ -46,7 +45,6 @@ from .model import (
     is_normal_statement,
     make_kb,
     size,
-    vocabulary_of,
 )
 
 

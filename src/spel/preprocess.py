@@ -1,21 +1,13 @@
 """Preprocessing: normal-form statements -> the saturation fact universe.
 
-Facts are plain tuples whose first element names the shape:
+Facts are plain tuples whose first element names the shape; `FACT_SHAPES`
+gives each shape's positions with the universe each one ranges over, and
+is the one statement of the fact space.
 
-    ("sharper", s1, s2)                      s1 below s2
-    ("sharper_intersection", s1, s2, s3)     s1 meet s2 below s3
-    ("ria2", s, r1, r2)                      box_s role inclusion
-    ("ria3", s, r1, r2, r3)                  box_s chain inclusion
-    ("gci_nested", t, C, s, D, E)            box_t[C sub box_s[D => E]]
-    ("gci_dia_right", t, C, s, D)            box_t[C sub dia_s D]
-    ("gci_ex_right", s, C, r, D)             box_s[C sub ex r.D]
-    ("gci_ex_left", s, r, C, D)              box_s[ex r.C sub D]
-    ("gci_con_left", s, C1, C2, D)           box_s[C1 and C2 sub D]
-    ("role_assertion", s, r, a, b)           box_s[r(a, b)]
-
-Extended concepts C, D, E are themselves tuples: ("top",), ("bot",),
-("cn", name), ("nom", individual), ("self", role). Nominals and self-loop
-concepts are ordinary members of the concept universe.
+Extended concepts, the values at concept positions, are themselves
+tuples: ("top",), ("bot",), ("cn", name), ("nom", individual),
+("self", role). Nominals and self-loop concepts are ordinary members of
+the concept universe.
 
 Assertions are encoded through nominals; every statement of a normal-form
 KB maps to exactly one seed fact. `add_witness_axioms` then adds, for each
@@ -63,18 +55,36 @@ BOTC: ExtConcept = ("bot",)
 #: The fact whose derivation signals unsatisfiability.
 REFUTATION_FACT: Fact = ("gci_nested", UNIVERSAL, TOPC, UNIVERSAL, TOPC, BOTC)
 
-FACT_SHAPES = (
-    "sharper",
-    "sharper_intersection",
-    "ria2",
-    "ria3",
-    "gci_nested",
-    "gci_dia_right",
-    "gci_ex_right",
-    "gci_ex_left",
-    "gci_con_left",
-    "role_assertion",
-)
+#: The universe kinds, in the order a run interns them.
+KINDS = ("standpoint", "role", "individual", "concept")
+_S, _R, _I, _C = KINDS
+
+#: Per fact shape, its positions as (name, universe kind) pairs.
+FACT_SHAPES: dict[str, tuple[tuple[str, str], ...]] = {
+    # s1 below s2
+    "sharper": (("s1", _S), ("s2", _S)),
+    # s1 meet s2 below s3
+    "sharper_intersection": (("s1", _S), ("s2", _S), ("s3", _S)),
+    # box_s role inclusion r1 sub r2
+    "ria2": (("s", _S), ("r1", _R), ("r2", _R)),
+    # box_s chain inclusion r1 o r2 sub r3
+    "ria3": (("s", _S), ("r1", _R), ("r2", _R), ("r3", _R)),
+    # box_t[c sub box_s[d => e]]
+    "gci_nested": (("t", _S), ("c", _C), ("s", _S), ("d", _C), ("e", _C)),
+    # box_t[c sub dia_s d]
+    "gci_dia_right": (("t", _S), ("c", _C), ("s", _S), ("d", _C)),
+    # box_s[c sub ex r.d]
+    "gci_ex_right": (("s", _S), ("c", _C), ("r", _R), ("d", _C)),
+    # box_s[ex r.c sub d]
+    "gci_ex_left": (("s", _S), ("r", _R), ("c", _C), ("d", _C)),
+    # box_s[c1 and c2 sub d]
+    "gci_con_left": (("s", _S), ("c1", _C), ("c2", _C), ("d", _C)),
+    # box_s[r(a, b)]
+    "role_assertion": (("s", _S), ("r", _R), ("a", _I), ("b", _I)),
+}
+
+#: Per nested concept tag, the universe kind of its argument.
+NESTED_TAGS = {"nom": _I, "self": _R}
 
 INPUT_RULE = "input"
 
@@ -93,6 +103,14 @@ class Universes:
     roles: set[str] = field(default_factory=set)
     individuals: set[str] = field(default_factory=set)
     concepts: set[ExtConcept] = field(default_factory=lambda: {TOPC, BOTC})
+
+    def of(self, kind: str) -> list:
+        """The universe of `kind` (one of `KINDS`) in a fixed order: `*`
+        and Top first, the rest by repr."""
+        members = {_S: self.standpoints, _R: self.roles,
+                   _I: self.individuals, _C: self.concepts}[kind]
+        return sorted(members, key=lambda m: (m != UNIVERSAL and m != TOPC,
+                                              repr(m)))
 
     def copy(self) -> "Universes":
         return Universes(

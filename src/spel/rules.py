@@ -7,8 +7,11 @@ self-loop concepts. Axiom schemas (the T rules) and the per-individual
 nominal-introduction rule carry `ranges`: variables instantiated over the
 registered universes instead of bound by premises.
 
-The same table drives the saturation engine, trace replay (`apply_rule`),
-and the Datalog code generator.
+The same table, with the one set of pattern operations below
+(`is_nested`, `unify`, `resolve`, `pattern_vars`), drives the saturation
+engine's join compiler, trace replay (`apply_rule`) and the Datalog code
+generator. Fact shapes and their universe kinds come from
+`preprocess.FACT_SHAPES`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .model import UNIVERSAL
-from .preprocess import BOTC, Fact, TOPC, Universes
+from .preprocess import (BOTC, FACT_SHAPES, NESTED_TAGS, Fact, TOPC,
+                         Universes)
 
 
 @dataclass(frozen=True)
@@ -33,8 +37,7 @@ class Rule:
     name: str
     premises: tuple[tuple, ...]
     conclusion: tuple
-    #: (variable name, universe) pairs for schema instantiation;
-    #: universe is one of "standpoint", "role", "concept", "individual".
+    #: (variable name, universe kind) pairs for schema instantiation.
     ranges: tuple[tuple[str, str], ...] = ()
 
 
@@ -199,84 +202,81 @@ RULES_BY_NAME: dict[str, Rule] = {r.name: r for r in RULES}
 
 
 # ---------------------------------------------------------------------------
-# Pattern matching
+# Pattern operations
 # ---------------------------------------------------------------------------
 
-def _is_nested(p) -> bool:
-    return isinstance(p, tuple) and p and p[0] in ("nom", "self")
+def is_nested(term) -> bool:
+    """True for a nominal or self-loop concept term, ("nom", x) or
+    ("self", x), whether x is a name or a `Var`."""
+    return (isinstance(term, tuple) and len(term) == 2
+            and term[0] in NESTED_TAGS)
 
 
-def match_term(pattern, value, subst: dict) -> dict | None:
-    """Extend `subst` so `pattern` equals `value`, or None on clash."""
-    if isinstance(pattern, Var):
-        bound = subst.get(pattern.name, _UNBOUND)
-        if bound is _UNBOUND:
-            out = dict(subst)
-            out[pattern.name] = value
-            return out
-        return subst if bound == value else None
-    if _is_nested(pattern) and any(isinstance(x, Var) for x in pattern):
-        if not (isinstance(value, tuple) and len(value) == len(pattern)
-                and value[0] == pattern[0]):
-            return None
-        for pp, vv in zip(pattern[1:], value[1:]):
-            subst = match_term(pp, vv, subst)
-            if subst is None:
-                return None
-        return subst
-    return subst if pattern == value else None
+def _walk(term, subst: dict):
+    """Follow `term` through the variables `subst` binds."""
+    while isinstance(term, Var) and term.name in subst:
+        term = subst[term.name]
+    return term
 
 
-_UNBOUND = object()
-
-
-def match_fact(pattern: tuple, fact: Fact, subst: dict) -> dict | None:
-    if len(pattern) != len(fact) or pattern[0] != fact[0]:
+def unify(x, y, subst: dict) -> dict | None:
+    """Extend `subst` so that the patterns `x` and `y` become equal, or
+    None when no instance of both agrees. Tuples (facts, extended
+    concepts) unify position by position."""
+    x, y = _walk(x, subst), _walk(y, subst)
+    if isinstance(x, Var):
+        return subst if x == y else {**subst, x.name: y}
+    if isinstance(y, Var):
+        return {**subst, y.name: x}
+    if not (isinstance(x, tuple) and isinstance(y, tuple)):
+        return subst if x == y else None
+    if len(x) != len(y):
         return None
-    for p, v in zip(pattern[1:], fact[1:]):
-        subst = match_term(p, v, subst)
+    for a, b in zip(x, y):
+        subst = unify(a, b, subst)
         if subst is None:
             return None
     return subst
 
 
-def substitute(pattern, subst: dict):
-    """Instantiate a (possibly nested) pattern term under `subst`."""
-    if isinstance(pattern, Var):
-        return subst[pattern.name]
-    if _is_nested(pattern) and any(isinstance(x, Var) for x in pattern):
-        return tuple(substitute(p, subst) for p in pattern)
-    return pattern
+def resolve(term, subst: dict):
+    """`term` with every variable `subst` binds replaced; the others
+    stay."""
+    if isinstance(term, Var):
+        term = _walk(term, subst)
+    if isinstance(term, tuple):
+        return tuple([resolve(t, subst) for t in term])
+    return term
+
+
+def pattern_vars(pattern: tuple) -> list[tuple[str, str]]:
+    """(variable, universe kind) pairs of a fact pattern, by position."""
+    out = []
+    for (_, kind), p in zip(FACT_SHAPES[pattern[0]], pattern[1:]):
+        if is_nested(p):
+            kind, p = NESTED_TAGS[p[0]], p[1]
+        if isinstance(p, Var):
+            out.append((p.name, kind))
+    return out
 
 
 def instantiate_conclusion(rule: Rule, subst: dict,
                            universes: Universes) -> list[Fact]:
     """All conclusions of `rule` under `subst`, expanding range variables
     over the registered universes."""
-    range_domains = []
-    for var, kind in rule.ranges:
-        if var in subst:
-            continue
-        domain = {
-            "standpoint": universes.standpoints,
-            "role": universes.roles,
-            "concept": universes.concepts,
-            "individual": universes.individuals,
-        }[kind]
-        range_domains.append((var, sorted(domain, key=repr)))
-    out = []
-    for values in product(*(d for _, d in range_domains)):
-        full = dict(subst)
-        for (var, _), val in zip(range_domains, values):
-            full[var] = val
-        out.append(tuple(substitute(p, full) for p in rule.conclusion))
-    return out
+    free = [var for var, _ in rule.ranges if var not in subst]
+    kinds = dict(rule.ranges)
+    return [resolve(rule.conclusion, {**subst, **dict(zip(free, values))})
+            for values in product(*(universes.of(kinds[v]) for v in free))]
 
 
 def apply_rule(rule: Rule | str, premises: list[Fact],
                universes: Universes) -> list[Fact]:
     """Pure single application: match `premises` (in schema order) against
-    the rule and return every conclusion. Raises ValueError on mismatch."""
+    the rule and return every conclusion. Raises ValueError on mismatch.
+    A conclusion variable that neither the premises nor the ranges bind
+    stays a `Var`, so a rule cut to a prefix of its premises may carry the
+    next premise as its conclusion."""
     if isinstance(rule, str):
         rule = RULES_BY_NAME[rule]
     if len(premises) != len(rule.premises):
@@ -285,7 +285,7 @@ def apply_rule(rule: Rule | str, premises: list[Fact],
             f"got {len(premises)}")
     subst: dict | None = {}
     for pat, fact in zip(rule.premises, premises):
-        subst = match_fact(pat, fact, subst)
+        subst = unify(pat, fact, subst)
         if subst is None:
             raise ValueError(f"premises do not match rule {rule.name}")
     return instantiate_conclusion(rule, subst, universes)

@@ -13,7 +13,9 @@ with D = E or E = Top holds in every structure, and the calculus derives
 every one over the universes (`_tautology_step` gives the derivation);
 storing them would make up most of a saturated store and most rule
 firings. Instead:
-- a conclusion that is such a tautology is neither stored nor queued;
+- a conclusion that is such a tautology is neither stored nor queued,
+  and the premise-free rules that only give tautologies (T.3, T.4) are
+  not instantiated;
 - each join over a gci_nested premise also matches the tautologies
   consistent with its bound positions, as if they were older than every
   stored fact; joins whose premises are all tautologies run once, before
@@ -30,9 +32,10 @@ matching them implicitly would add Bot-subject copies of most facts.
 Two mechanical speedups, invisible in the results:
 - every (rule, premise position, implicit premises) variant is compiled
   once, on first use, into a closure of plain loops and tuple accesses;
-  the declarative table in `rules` stays the single source of truth
-  (trace replay re-checks every derivation against it through
-  `apply_rule`);
+  the declarative table in `rules` stays the single source of truth, and
+  the variants are planned with its pattern operations (`unify`,
+  `resolve`, `pattern_vars`), the ones trace replay uses when it
+  re-checks every derivation through `apply_rule`;
 - each run interns its terms (standpoints, roles, individuals, extended
   concepts) to integers in tables of its own, with maps linking nominals
   and self-loop concepts to their individual/role, and joins over a
@@ -41,10 +44,11 @@ Two mechanical speedups, invisible in the results:
   compiled joins hold, have fixed ids, so runs share no mutable state and
   may go on side by side in threads.
 
-The fact space is fixed by the universes, so the run is bounded by an
-explicit polynomial; exceeding it signals an engine bug rather than a big
-input. A caller may set a lower limit. Both count stored facts only, and
-the error says which one tripped.
+The fact space is fixed by the universes: `preprocess.FACT_SHAPES` gives
+the universe of every position of every shape. So the run is bounded by
+an explicit polynomial, the size of that space; exceeding it signals an
+engine bug rather than a big input. A caller may set a lower limit. Both
+count stored facts only, and the error says which one tripped.
 """
 
 from __future__ import annotations
@@ -52,17 +56,21 @@ from __future__ import annotations
 from collections import deque
 from functools import cache
 from itertools import product
+from math import prod
 
 from .model import UNIVERSAL
 from .preprocess import (
     BOTC,
+    FACT_SHAPES,
+    KINDS,
     Fact,
     FactStore,
     REFUTATION_FACT,
     TOPC,
     Universes,
 )
-from .rules import RULES, Rule, Var, instantiate_conclusion
+from .rules import (RULES, Rule, Var, instantiate_conclusion, is_nested,
+                    pattern_vars, resolve, unify)
 
 
 class FactLimitExceeded(RuntimeError):
@@ -77,23 +85,11 @@ class FactLimitExceeded(RuntimeError):
 
 
 def polynomial_fact_bound(universes: Universes) -> int:
-    """Worst-case count of distinct facts constructible over the universes."""
-    ns = len(universes.standpoints)
-    nr = len(universes.roles)
-    ni = len(universes.individuals)
-    nc = len(universes.concepts)
-    return (
-        ns**2            # sharper
-        + ns**3          # sharper_intersection
-        + ns * nr**2     # ria2
-        + ns * nr**3     # ria3
-        + ns**2 * nc**3  # gci_nested
-        + ns**2 * nc     # gci_dia_right
-        + ns * nc**2 * nr  # gci_ex_right
-        + ns * nc**2 * nr  # gci_ex_left
-        + ns * nc**3     # gci_con_left
-        + ns * nr * ni**2  # role_assertion
-    )
+    """Count of the distinct facts constructible over the universes: per
+    shape, the product of its positions' universe sizes."""
+    size = {kind: len(universes.of(kind)) for kind in KINDS}
+    return sum(prod(size[kind] for _, kind in positions)
+               for positions in FACT_SHAPES.values())
 
 
 # ---------------------------------------------------------------------------
@@ -154,64 +150,6 @@ def _tautology_step(fact: tuple) -> tuple[str, tuple]:
 # Rule compilation
 # ---------------------------------------------------------------------------
 
-def _is_nested_var(p) -> bool:
-    return (isinstance(p, tuple) and len(p) == 2 and p[0] in ("nom", "self")
-            and isinstance(p[1], Var))
-
-
-def _walk(term, subst: dict):
-    while isinstance(term, Var) and term.name in subst:
-        term = subst[term.name]
-    return term
-
-
-def _unify(x, y, subst: dict) -> dict | None:
-    x, y = _walk(x, subst), _walk(y, subst)
-    if x == y:
-        return subst
-    if isinstance(x, Var):
-        return {**subst, x.name: y}
-    if isinstance(y, Var):
-        return {**subst, y.name: x}
-    if _is_nested_var(x) and _is_nested_var(y) and x[0] == y[0]:
-        return _unify(x[1], y[1], subst)
-    return None
-
-
-def _resolve(pattern: tuple, subst: dict) -> tuple:
-    out = [pattern[0]]
-    for p in pattern[1:]:
-        p = _walk(p, subst)
-        if _is_nested_var(p):
-            p = (p[0], _walk(p[1], subst))
-        out.append(p)
-    return tuple(out)
-
-
-def _may_equal(a, b) -> bool:
-    """False iff pattern terms `a` and `b` differ in every instance."""
-    if a == b or isinstance(a, Var) or isinstance(b, Var):
-        return True
-    return _is_nested_var(a) and _is_nested_var(b) and a[0] == b[0]
-
-
-def _pattern_vars(pat: tuple) -> list[tuple[str, str]]:
-    """(variable, universe) pairs of a gci_nested pattern, in order."""
-    out = []
-    for k, p in enumerate(pat[1:], start=1):
-        if isinstance(p, Var):
-            out.append((p.name, "standpoint" if k in (1, 3) else "concept"))
-        elif _is_nested_var(p):
-            out.append((p[1].name,
-                        "individual" if p[0] == "nom" else "role"))
-    return out
-
-
-def _var_names(pat: tuple) -> set[str]:
-    return {p.name if isinstance(p, Var) else p[1].name for p in pat[1:]
-            if isinstance(p, Var) or _is_nested_var(p)}
-
-
 def _join_plan(rule: Rule, implicit: dict[int, str]):
     """The premise and conclusion patterns of `rule` when the premises in
     `implicit` are tautologies of the given families, or None when no such
@@ -219,11 +157,11 @@ def _join_plan(rule: Rule, implicit: dict[int, str]):
     stored premises."""
     subst: dict | None = {}
     for j, family in implicit.items():
-        subst = _unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
+        subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
         if subst is None:
             return None
-    premises = tuple(_resolve(p, subst) for p in rule.premises)
-    conclusion = _resolve(rule.conclusion, subst)
+    premises = resolve(rule.premises, subst)
+    conclusion = resolve(rule.conclusion, subst)
     if _is_tautology(conclusion) or any(
             conclusion == p for j, p in enumerate(premises)
             if j not in implicit):
@@ -244,7 +182,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
     def term_expr(p) -> str:
         if isinstance(p, Var):
             return f"v_{p.name}"
-        if _is_nested_var(p):
+        if is_nested(p):
             up = _NESTED_MAPS[p[0]][1]
             used_maps.add(up)
             return f"{up}[v_{p[1].name}]"
@@ -270,7 +208,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                 else:
                     out.append(f"{ind}v_{p.name} = {src}[{j}]")
                     bound.add(p.name)
-            elif _is_nested_var(p):
+            elif is_nested(p):
                 v = p[1]
                 dmap = _NESTED_MAPS[p[0]][0]
                 used_maps.add(dmap)
@@ -297,7 +235,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
         for k, p in enumerate(pat[1:], start=1):
             if isinstance(p, Var):
                 groundable = p.name in bound
-            elif _is_nested_var(p):
+            elif is_nested(p):
                 groundable = p[1].name in bound
             else:
                 groundable = True
@@ -316,9 +254,9 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
             destructure(f"p{j}", _defer_pattern(pat, deferred), "continue"))
 
     for n, j in enumerate(implicit):
-        needed = _var_names(conclusion).union(
-            *(_var_names(premises[k]) for k in implicit[n + 1:]))
-        for var, kind in _pattern_vars(premises[j]):
+        later = [conclusion] + [premises[k] for k in implicit[n + 1:]]
+        needed = {var for pat in later for var, _ in pattern_vars(pat)}
+        for var, kind in pattern_vars(premises[j]):
             if var not in bound:
                 # a variable nothing else reads takes any one value
                 key = kind if var in needed else ("any", kind)
@@ -337,7 +275,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
         pairs = _TAUTOLOGY_FAMILIES.values()
         tests = [f"{term_expr(a)} == {term_expr(b)}"
                  for a, b in (sides(conclusion) for sides in pairs)
-                 if _may_equal(a, b)]
+                 if unify(a, b, {}) is not None]
         if tests:
             lines.append(f"{ind}if not ({' or '.join(tests)}):")
             ind += "    "
@@ -437,7 +375,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         if tid is None:
             tid = term_ids[term] = len(terms)
             terms.append(term)
-            if isinstance(term, tuple) and term[0] in _NESTED_MAPS:
+            if is_nested(term):
                 down, up = _NESTED_MAPS[term[0]]
                 inner = intern(term[1])
                 maps[down][tid] = inner
@@ -451,14 +389,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     # before any rule fires. `*` and Top lead their ranges: they are the
     # values an implicit premise takes where any value will do.
     uni = store.universes
-    ranges: dict = {
-        "standpoint": [intern(t) for t in sorted(
-            uni.standpoints, key=lambda s: (s != UNIVERSAL, s))],
-        "role": [intern(t) for t in sorted(uni.roles)],
-        "individual": [intern(t) for t in sorted(uni.individuals)],
-        "concept": [intern(t) for t in
-                    sorted(uni.concepts, key=lambda c: (c != TOPC, repr(c)))],
-    }
+    ranges: dict = {kind: [intern(t) for t in uni.of(kind)] for kind in KINDS}
     for kind in list(ranges):
         ranges[("any", kind)] = ranges[kind][:1]
     refutation = intern_fact(REFUTATION_FACT)
@@ -475,10 +406,9 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         rule, premises = store.provenance[fid]
         add(intern_fact(fact), rule, premises)
     for rule in RULES:
-        if not rule.premises:
+        if not rule.premises and not _is_tautology(rule.conclusion):
             for fact in instantiate_conclusion(rule, {}, uni):
-                if not _is_tautology(fact):
-                    add(intern_fact(fact), rule.name, ())
+                add(intern_fact(fact), rule.name, ())
     check_limit()
 
     queue: deque[tuple] = deque(eng.facts)
@@ -521,12 +451,14 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         partial = True
 
     # Decode into a readable store; ids and provenance carry over as they
-    # are, and every fact is listed by shape.
+    # are, and every fact is listed by shape. The engine store and its
+    # indexes are released first, so that they do not add to the peak.
+    facts, provenance = eng.facts, eng.provenance
+    del eng, add, fact_ids, lookup
     out = FactStore(uni.copy())
-    out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]])
-                 for f in eng.facts]
+    out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]]) for f in facts]
     out.fact_ids = dict(zip(out.facts, range(len(out.facts))))
-    out.provenance = eng.provenance
+    out.provenance = provenance
     for fact in out.facts:
         out.by_shape.setdefault(fact[0], []).append(fact)
     out.partial = partial

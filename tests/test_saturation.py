@@ -1,5 +1,6 @@
 """Tests for the saturation engine, the rule table, and trace replay."""
 
+import itertools
 import sys
 import threading
 
@@ -19,6 +20,7 @@ from spel.model import (
 )
 from spel.preprocess import (
     BOTC,
+    FACT_SHAPES,
     INPUT_RULE,
     REFUTATION_FACT,
     TOPC,
@@ -26,7 +28,7 @@ from spel.preprocess import (
     Universes,
     prep,
 )
-from spel.rules import RULES, RULES_BY_NAME, apply_rule
+from spel.rules import RULES, RULES_BY_NAME, apply_rule, pattern_vars
 from spel.saturation import (
     FactLimitExceeded,
     format_fact,
@@ -159,6 +161,28 @@ def test_polynomial_bound_holds(example1_store):
         assert len(out) <= polynomial_fact_bound(out.universes)
 
 
+def test_polynomial_bound_counts_every_fact():
+    uni = Universes(standpoints={UNIVERSAL, "S"}, roles={"R", "Q"},
+                    individuals={"a", "b"},
+                    concepts={TOPC, BOTC, ("cn", "A"), ("nom", "a")})
+    S, R, I, C = uni.standpoints, uni.roles, uni.individuals, uni.concepts
+    signatures = {
+        "sharper": (S, S),
+        "sharper_intersection": (S, S, S),
+        "ria2": (S, R, R),
+        "ria3": (S, R, R, R),
+        "gci_nested": (S, C, S, C, C),
+        "gci_dia_right": (S, C, S, C),
+        "gci_ex_right": (S, C, R, C),
+        "gci_ex_left": (S, R, C, C),
+        "gci_con_left": (S, C, C, C),
+        "role_assertion": (S, R, I, I),
+    }
+    facts = {(shape,) + args for shape, signature in signatures.items()
+             for args in itertools.product(*signature)}
+    assert polynomial_fact_bound(uni) == len(facts)
+
+
 def test_fact_limit_exceeded(example1_kb, monkeypatch):
     with pytest.raises(FactLimitExceeded) as caller:
         saturate(prep(example1_kb), fact_limit=100)
@@ -232,10 +256,12 @@ def test_no_trace_when_satisfiable(example1_store):
 
 
 def test_rule_table_well_formed():
+    """Every pattern fits its fact shape, and each variable of a rule
+    ranges over one universe."""
     assert len(RULES) == len(RULES_BY_NAME)
     for rule in RULES:
-        assert rule.conclusion[0] in (
-            "sharper", "sharper_intersection", "ria2", "ria3", "gci_nested",
-            "gci_dia_right", "gci_ex_right", "gci_ex_left", "gci_con_left",
-            "role_assertion",
-        )
+        kinds = dict(rule.ranges)
+        for pattern in rule.premises + (rule.conclusion,):
+            assert len(pattern) == 1 + len(FACT_SHAPES[pattern[0]]), rule.name
+            for var, kind in pattern_vars(pattern):
+                assert kinds.setdefault(var, kind) == kind, (rule.name, var)
