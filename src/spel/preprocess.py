@@ -88,8 +88,6 @@ NESTED_TAGS = {"nom": _I, "self": _R}
 
 INPUT_RULE = "input"
 
-_EMPTY: list = []
-
 
 class PreprocessError(ValueError):
     pass
@@ -156,7 +154,7 @@ class FactStore:
             premises: tuple[int, ...] = (),
             indexed: bool = True) -> int | None:
         """Store `fact`; returns its new id, or None if already present.
-        Unindexed facts are invisible to `by_shape` and `lookup_pos`."""
+        Unindexed facts are invisible to `by_shape` and `index`."""
         if fact in self.fact_ids:
             return None
         if fact[0] not in FACT_SHAPES:
@@ -176,12 +174,12 @@ class FactStore:
                     bucket.append(fact)
         return fid
 
-    def lookup_pos(self, shape: str, positions: tuple[int, ...],
-                   key) -> list[Fact]:
-        """Indexed facts of `shape` whose `positions` hold `key`: the value
-        itself for one position, the tuple of values for several."""
+    def index(self, shape: str, positions: tuple[int, ...]) -> dict:
+        """The index of the indexed facts of `shape` by their `positions`,
+        kept current by `add`: the value at the one position, or the tuple
+        of values at several (the empty tuple for none), to the facts."""
         if not positions:
-            return self.by_shape.get(shape, _EMPTY)
+            return {(): self.by_shape.setdefault(shape, [])}
         table = self._indexes.get((shape, positions))
         if table is None:
             key_of = itemgetter(*positions)
@@ -190,7 +188,7 @@ class FactStore:
                 table.setdefault(key_of(f), []).append(f)
             self._indexes[(shape, positions)] = table
             self._indexes_of.setdefault(shape, []).append((key_of, table))
-        return table.get(key, _EMPTY)
+        return table
 
     def copy(self) -> "FactStore":
         out = FactStore(self.universes.copy())

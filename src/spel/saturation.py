@@ -8,34 +8,49 @@ with provenance and appended to the queue. A join only admits facts no
 newer than the popped one, so every premise combination is produced
 exactly once — when its newest member is processed.
 
-Tautologies are implicit. A gci_nested fact box_t[C sub box_s[D => E]]
-with D = E or E = Top holds in every structure, and the calculus derives
-every one over the universes (`_tautology_step` gives the derivation);
-storing them would make up most of a saturated store and most rule
+Two kinds of gci_nested fact box_t[C sub box_s[D => E]] are implicit:
+- tautologies, with D = E or E = Top: they hold in every structure, and
+  the calculus derives every one over the universes;
+- Top-twins, with C other than Top, whose twin box_t[Top sub box_s[D => E]]
+  is stored: the twin implies them by C.2 over the tautology
+  box_*[Top sub box_t[C => Top]], for every C of the concept universe.
+Storing them would make up most of a saturated store and most rule
 firings. Instead:
-- a conclusion that is such a tautology is neither stored nor queued,
-  and the premise-free rules that only give tautologies (T.3, T.4) are
-  not instantiated;
+- a conclusion that is a tautology, or whose Top-subject twin is stored,
+  is neither stored nor queued, and the premise-free rules that only give
+  tautologies (T.3, T.4) are not instantiated;
 - each join over a gci_nested premise also matches the tautologies
   consistent with its bound positions, as if they were older than every
   stored fact; joins whose premises are all tautologies run once, before
   the queue;
-- join variants that can only conclude a tautology, or their own stored
-  premise, are dropped when the rules are compiled;
-- a tautology that is a premise of a stored conclusion is stored too
-  (unindexed, unqueued) with that derivation, at most four steps from the
-  T rules, so every provenance entry names stored ids and replays through
+- each join over a gci_nested premise whose subject is not the constant
+  Top also matches stored Top-subject facts there, as every subject: the
+  premise's subject is then bound by another premise, or ranges over the
+  universe (individuals, for a nominal);
+- a popped fact whose twin was stored after it, before it was popped, is
+  not joined: the twin's joins cover every combination it would make.
+  Facts stored before their twin arrived stay in the store;
+- join variants that can only conclude a tautology, one of their own
+  stored premises or a twin of one, are dropped when the rules are
+  compiled, and so is a twin match whose subject only reappears as the
+  conclusion's subject;
+- an implicit fact that is a premise of a stored conclusion is stored too
+  (unindexed, unqueued) with its derivation (`_implicit_step`): a twin by
+  C.2 from its stored twin, a tautology at most four steps from the T
+  rules. So every provenance entry names stored ids and replays through
   `apply_rule`.
 D = Bot facts stay explicit: the calculus has no schema for them, and
 matching them implicitly would add Bot-subject copies of most facts.
 
 Two mechanical speedups, invisible in the results:
-- every (rule, premise position, implicit premises) variant is compiled
-  once, on first use, into a closure of plain loops and tuple accesses;
-  the declarative table in `rules` stays the single source of truth, and
-  the variants are planned with its pattern operations (`unify`,
-  `resolve`, `pattern_vars`), the ones trace replay uses when it
-  re-checks every derivation through `apply_rule`;
+- every (rule, premise position, implicit and twin premises) variant is
+  compiled once, on first use, into a closure of plain loops and tuple
+  accesses, and runs only on the popped facts it can match (for
+  gci_nested, by whether the subject is Top); the declarative table in
+  `rules` stays the single source of truth, and the variants are planned
+  with its pattern operations (`unify`, `resolve`, `pattern_vars`), the
+  ones trace replay uses when it re-checks every derivation through
+  `apply_rule`;
 - each run interns its terms (standpoints, roles, individuals, extended
   concepts) to integers in tables of its own, with maps linking nominals
   and self-loop concepts to their individual/role, and joins over a
@@ -110,7 +125,7 @@ _NESTED_MAPS = {"nom": ("NOM2IND", "IND2NOM"),
 
 
 # ---------------------------------------------------------------------------
-# Implicit tautologies
+# Implicit facts: tautologies and Top-twins
 # ---------------------------------------------------------------------------
 
 def _is_tautology(fact: Fact) -> bool:
@@ -128,11 +143,26 @@ _TAUTOLOGY_FAMILIES = {
     "E=Top": lambda pat: (pat[5], TOPC),
 }
 
+#: the join mode of a gci_nested premise matched by the Top-subject twin
+#: of its instances
+_TWIN = "twin"
 
-def _tautology_step(fact: tuple) -> tuple[str, tuple]:
-    """The last step of a canonical derivation of an interned tautology:
-    a premise-free T rule, lifted to standpoints t and s by S.3/S.4 and
-    to subject C by C.2 over the tautology box_*[Top sub box_t[C => Top]]."""
+#: the dispatch key of popped gci_nested facts with subject Top
+_TOP_SUBJECT = "gci_nested/Top"
+
+
+def _twin(fact: tuple) -> tuple:
+    """The Top-subject twin of a gci_nested fact or pattern, which implies
+    it by C.2 over the tautology box_*[Top sub box_t[C => Top]]."""
+    return fact[:2] + (TOPC,) + fact[3:]
+
+
+def _implicit_step(fact: tuple) -> tuple[str, tuple]:
+    """The last step of a canonical derivation of an interned implicit
+    fact. A Top-twin, and a tautology with a subject C other than Top,
+    follow by C.2 from box_*[Top sub box_t[C => Top]] and the Top-subject
+    twin; a Top-subject tautology is a premise-free T rule lifted to
+    standpoints t and s by S.3/S.4."""
     _, t, c, s, d, e = fact
     if c != _TOP:
         return "C.2", (("gci_nested", _STAR, _TOP, t, c, _TOP),
@@ -150,34 +180,63 @@ def _tautology_step(fact: tuple) -> tuple[str, tuple]:
 # Rule compilation
 # ---------------------------------------------------------------------------
 
-def _join_plan(rule: Rule, implicit: dict[int, str]):
-    """The premise and conclusion patterns of `rule` when the premises in
-    `implicit` are tautologies of the given families, or None when no such
-    instance exists or every one concludes a tautology or one of its own
-    stored premises."""
+def _join_plan(rule: Rule, modes: dict[int, str]):
+    """The premise and conclusion patterns of `rule` when each premise in
+    `modes` is an implicit tautology of the given family or, for `_TWIN`,
+    a twin of a stored Top-subject fact; or None when no such instance
+    exists or every one is already implied: a tautology, one of its own
+    stored premises or a twin of one. So is a twin whose subject variable
+    shows up elsewhere only as the subject of an implicit premise or of
+    the conclusion: with that subject Top, the plan without the twin
+    concludes the Top-subject twin of each of its conclusions."""
     subst: dict | None = {}
-    for j, family in implicit.items():
-        subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
-        if subst is None:
-            return None
+    for j, mode in modes.items():
+        if mode != _TWIN:
+            subst = unify(*_TAUTOLOGY_FAMILIES[mode](rule.premises[j]),
+                          subst)
+            if subst is None:
+                return None
     premises = resolve(rule.premises, subst)
     conclusion = resolve(rule.conclusion, subst)
-    if _is_tautology(conclusion) or any(
-            conclusion == p for j, p in enumerate(premises)
-            if j not in implicit):
+    twins = [j for j, mode in modes.items() if mode == _TWIN]
+    if any(premises[j][2] == TOPC for j in twins):
+        return None  # a Top subject is its own twin: the plain join's job
+    # what the stored premises match; a twin matches its Top-subject twin
+    stored = [_twin(p) if j in twins else p for j, p in enumerate(premises)
+              if modes.get(j, _TWIN) == _TWIN]
+    nested = conclusion[0] == "gci_nested"
+    if conclusion in stored or nested and (
+            _is_tautology(conclusion) or _twin(conclusion) in stored):
+        return None
+    loose = [_twin(p) if j in modes else p for j, p in enumerate(premises)]
+    elsewhere = {var for pat in loose + [_twin(conclusion) if nested
+                                         else conclusion]
+                 for var, _ in pattern_vars(pat)}
+    if any(isinstance(premises[j][2], Var)
+           and premises[j][2].name not in elsewhere for j in twins):
         return None
     return premises, conclusion
 
 
 def _compile_join(rule: Rule, i: int | None, implicit: list[int],
-                  premises: tuple, conclusion: tuple):
+                  twins: list[int], premises: tuple, conclusion: tuple):
     """Compile the join of a `_join_plan` starting from premise position
     `i` (None: no popped fact), with the `implicit` premises generated
-    rather than looked up, into a closure
-    fn(lookup, fact_ids, fact, fid, ranges, maps, emit, derive), where
-    `maps` holds the run's nominal and self-loop maps by name."""
+    rather than looked up and the `twins` matched by their Top-subject
+    twins. The result makes, for one run,
+    make(index, fact_ids, ranges, maps, emit, derive), the closure
+    fn(fact, fid) to call on each popped fact (fact None for a join without
+    one); `index(shape, positions)` gives the run's index tables, and
+    `maps` holds its nominal and self-loop maps by name."""
+    matched = [_twin(p) if j in twins else p for j, p in enumerate(premises)]
     stored = [j for j in range(len(premises)) if j not in implicit]
+    # built from their variables once every stored premise is bound
+    generated = implicit + twins
+    # a twin's subject variable bound to Top repeats the plain join
+    not_top = {premises[j][2].name for j in twins
+               if isinstance(premises[j][2], Var)}
     used_maps: set[str] = set()
+    tables: dict[tuple, str] = {}
 
     def term_expr(p) -> str:
         if isinstance(p, Var):
@@ -192,45 +251,76 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
         return "(" + ", ".join([repr(pat[0])]
                                + [term_expr(p) for p in pat[1:]]) + ")"
 
-    lines: list[str] = [
-        "def _fn(lookup, fact_ids, fact, fid, ranges, maps, emit, derive):"]
+    lines: list[str] = []
     ind = "    "
     bound: set[str] = set()
 
-    def destructure(src: str, pat: tuple, bail: str) -> list[str]:
+    def bail() -> str:
+        return "return" if ind == "    " else "continue"
+
+    def bind(var: str, out: list[str]) -> None:
+        bound.add(var)
+        if var in not_top:
+            out.append(f"{ind}if v_{var} == {_TOP}: {bail()}")
+
+    def destructure(src: str, pat: tuple) -> list[str]:
         out = []
         for j, p in enumerate(pat[1:], start=1):
             if p is None:  # wildcard from _defer_pattern
                 continue
             if isinstance(p, Var):
                 if p.name in bound:
-                    out.append(f"{ind}if {src}[{j}] != v_{p.name}: {bail}")
+                    out.append(f"{ind}if {src}[{j}] != v_{p.name}: {bail()}")
                 else:
                     out.append(f"{ind}v_{p.name} = {src}[{j}]")
-                    bound.add(p.name)
+                    bind(p.name, out)
             elif is_nested(p):
                 v = p[1]
                 dmap = _NESTED_MAPS[p[0]][0]
                 used_maps.add(dmap)
                 if v.name in bound:
                     out.append(f"{ind}if {dmap}.get({src}[{j}], -1) != "
-                               f"v_{v.name}: {bail}")
+                               f"v_{v.name}: {bail()}")
                 else:
                     out.append(f"{ind}v_{v.name} = {dmap}.get({src}[{j}], -1)")
-                    out.append(f"{ind}if v_{v.name} < 0: {bail}")
+                    out.append(f"{ind}if v_{v.name} < 0: {bail()}")
                     bound.add(v.name)
             else:
-                out.append(f"{ind}if {src}[{j}] != {term_expr(p)}: {bail}")
+                out.append(f"{ind}if {src}[{j}] != {term_expr(p)}: {bail()}")
         return out
+
+    # A conclusion that is a tautology, or whose Top-subject twin is
+    # stored, is implied: each test runs as soon as its variables are bound.
+    guards = []
+    if conclusion[0] == "gci_nested":
+        pairs = [sides(conclusion) for sides in _TAUTOLOGY_FAMILIES.values()]
+        pairs = [pair for pair in pairs if unify(*pair, {}) is not None]
+        if pairs:
+            guards.append((pairs, " or ".join(
+                f"{term_expr(a)} == {term_expr(b)}" for a, b in pairs)))
+        if conclusion[2] != TOPC:
+            # a subject variable may take Top in this join, and conclude
+            # the twin itself: wait for it
+            twin = _twin(conclusion)
+            wait = twin if is_nested(conclusion[2]) else conclusion
+            guards.append(([wait], f"{tuple_expr(twin)} in fact_ids"))
+
+    def run_guards() -> None:
+        for guard in list(guards):
+            terms, test = guard
+            if all(v in bound for v in _term_vars(terms)):
+                lines.append(f"{ind}if {test}: {bail()}")
+                guards.remove(guard)
 
     if i is not None:
         lines.append(f"{ind}p{i} = fact")
-        lines.extend(destructure("fact", premises[i], "return"))
+        lines.extend(destructure("fact", matched[i]))
+        run_guards()
 
     # stored premises are looked up (and must be no newer than the popped
-    # fact); implicit ones are generated afterwards from their free variables
+    # fact); generated ones are built afterwards from their free variables
     for j in (k for k in stored if k != i):
-        pat = premises[j]
+        pat = matched[j]
         positions, value_exprs, deferred = [], [], []
         for k, p in enumerate(pat[1:], start=1):
             if isinstance(p, Var):
@@ -246,15 +336,19 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                 deferred.append((k, p))
         key = (value_exprs[0] if len(value_exprs) == 1
                else "(" + ", ".join(value_exprs) + ")")
-        lines.append(f"{ind}for p{j} in lookup({pat[0]!r}, "
-                     f"{tuple(positions)!r}, {key}):")
+        table = tables.setdefault((pat[0], tuple(positions)),
+                                  f"T{len(tables)}")
+        lines.append(f"{ind}for p{j} in {table}.get({key}, ()):")
         ind += "    "
         lines.append(f"{ind}if fact_ids[p{j}] > fid: continue")
-        lines.extend(
-            destructure(f"p{j}", _defer_pattern(pat, deferred), "continue"))
+        lines.extend(destructure(f"p{j}", _defer_pattern(pat, deferred)))
+        run_guards()
 
-    for n, j in enumerate(implicit):
-        later = [conclusion] + [premises[k] for k in implicit[n + 1:]]
+    # Only the Top instance of a conclusion's subject is needed: the others
+    # are its twins.
+    for n, j in enumerate(generated):
+        later = [_twin(conclusion) if conclusion[0] == "gci_nested"
+                 else conclusion] + [premises[k] for k in generated[n + 1:]]
         needed = {var for pat in later for var, _ in pattern_vars(pat)}
         for var, kind in pattern_vars(premises[j]):
             if var not in bound:
@@ -262,7 +356,8 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                 key = kind if var in needed else ("any", kind)
                 lines.append(f"{ind}for v_{var} in ranges[{key!r}]:")
                 ind += "    "
-                bound.add(var)
+                bind(var, lines)
+                run_guards()
         lines.append(f"{ind}p{j} = {tuple_expr(premises[j])}")
 
     for var, kind in rule.ranges:
@@ -270,30 +365,34 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
             lines.append(f"{ind}for v_{var} in ranges[{kind!r}]:")
             ind += "    "
             bound.add(var)
+    run_guards()
 
-    if conclusion[0] == "gci_nested":
-        pairs = _TAUTOLOGY_FAMILIES.values()
-        tests = [f"{term_expr(a)} == {term_expr(b)}"
-                 for a, b in (sides(conclusion) for sides in pairs)
-                 if unify(a, b, {}) is not None]
-        if tests:
-            lines.append(f"{ind}if not ({' or '.join(tests)}):")
-            ind += "    "
     prems = ("(" + ", ".join(f"p{k}" for k in range(len(premises)))
              + ("," if len(premises) == 1 else "") + ")")
     lines.append(f"{ind}_c = {tuple_expr(conclusion)}")
-    # Implicit premises are stored even when the conclusion is not new, so
-    # which ones end up stored does not depend on the worklist order.
-    for j in implicit:
-        lines.append(f"{ind}if p{j} not in fact_ids: derive(p{j})")
     lines.append(f"{ind}if _c not in fact_ids:")
+    for j in generated:
+        lines.append(f"{ind}    if p{j} not in fact_ids: derive(p{j})")
     lines.append(f"{ind}    emit(_c, {prems}, {rule.name!r})")
 
-    lines[1:1] = [f"    {m} = maps[{m!r}]" for m in sorted(used_maps)]
+    head = ["def _make(index, fact_ids, ranges, maps, emit, derive):"]
+    head += [f"    {m} = maps[{m!r}]" for m in sorted(used_maps)]
+    head += [f"    {name} = index{key!r}" for key, name in tables.items()]
+    head += ["    def _fn(fact, fid):"]
+    lines = head + ["    " + line for line in lines] + ["    return _fn"]
     ns: dict = {}
-    label = f"<join {rule.name} from {i}, implicit {implicit}>"
+    label = f"<join {rule.name} from {i}, implicit {implicit}, twins {twins}>"
     exec(compile("\n".join(lines), label, "exec"), ns)  # noqa: S102
-    return ns["_fn"]
+    return ns["_make"]
+
+
+def _term_vars(term) -> list[str]:
+    """The variable names in a pattern or term, nested ones included."""
+    if isinstance(term, Var):
+        return [term.name]
+    if isinstance(term, (tuple, list)):
+        return [v for t in term for v in _term_vars(t)]
+    return []
 
 
 def _defer_pattern(pat: tuple, deferred: list) -> tuple:
@@ -306,12 +405,12 @@ def _defer_pattern(pat: tuple, deferred: list) -> tuple:
 
 @cache
 def _compile_all():
-    """Per popped shape, the joins to run; plus the joins whose premises
-    are all implicit tautologies, which run once per saturation. Compiled
-    on first use, so importing the package stays cheap."""
+    """Per kind of popped fact (its shape, with gci_nested facts split by
+    whether their subject is Top), the joins to run; plus the joins whose
+    premises are all implicit tautologies, which run once per saturation.
+    Compiled on first use, so importing the package stays cheap."""
     dispatch: dict[str, list] = {}
     seeds: list = []
-    families = (None,) + tuple(_TAUTOLOGY_FAMILIES)
     for rule in RULES:
         nested = [j for j, p in enumerate(rule.premises)
                   if p[0] == "gci_nested"]
@@ -319,24 +418,49 @@ def _compile_all():
         if rule.premises and len(nested) == len(rule.premises):
             starts.append((None, None))
         for i, pat in starts:
-            others = [j for j in nested if j != i]
+            # the popped fact is stored; another gci_nested premise may
+            # also be an implicit tautology; either may be a twin unless
+            # its subject is Top
+            options = [(None,) + (() if j == i else tuple(_TAUTOLOGY_FAMILIES))
+                       + ((_TWIN,) if rule.premises[j][2] != TOPC else ())
+                       for j in nested]
             seen = set()
-            for choice in product(families, repeat=len(others)):
-                implicit = {j: f for j, f in zip(others, choice) if f}
-                if i is None and len(implicit) < len(others):
+            for choice in product(*options):
+                modes = {j: m for j, m in zip(nested, choice) if m}
+                implicit = sorted(j for j, m in modes.items() if m != _TWIN)
+                twins = sorted(j for j, m in modes.items() if m == _TWIN)
+                if i is None and len(implicit) < len(nested):
                     continue  # a stored premise fires when it is popped
-                plan = _join_plan(rule, implicit)
+                plan = _join_plan(rule, modes)
                 # families may coincide on a pattern (e.g. D = E = Top)
-                key = (tuple(sorted(implicit)), plan)
+                key = (tuple(implicit), tuple(twins), plan)
                 if plan is None or key in seen:
                     continue
                 seen.add(key)
-                fn = _compile_join(rule, i, list(key[0]), *plan)
+                fn = _compile_join(rule, i, implicit, twins, *plan)
                 if i is None:
                     seeds.append(fn)
-                else:
-                    dispatch.setdefault(pat[0], []).append(fn)
+                    continue
+                for kind in _popped_kinds(i, twins, plan[0]):
+                    dispatch.setdefault(kind, []).append(fn)
     return dispatch, seeds
+
+
+def _popped_kinds(i: int, twins: list[int], premises: tuple) -> list[str]:
+    """The kinds of popped fact a join from premise `i` takes: its shape,
+    and for gci_nested, whether the subject may be Top or something else.
+    A twin or a Top pattern takes only Top; a nominal, or the subject
+    variable of a twin, takes anything but Top."""
+    pat = premises[i]
+    if pat[0] != "gci_nested":
+        return [pat[0]]
+    subject = TOPC if i in twins else pat[2]
+    if subject == TOPC:
+        return [_TOP_SUBJECT]
+    if isinstance(subject, Var) and subject not in {premises[j][2]
+                                                    for j in twins}:
+        return ["gci_nested", _TOP_SUBJECT]
+    return ["gci_nested"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +476,15 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
              worklist: str = "fifo") -> FactStore:
     """Closure of `store` under all rules; returns a new store.
 
-    Derived tautologies are not stored, except those that are premises of
-    stored facts (see the module docstring). With
+    Implicit tautologies and Top-twins are not stored, except those that
+    are premises of stored facts (see the module docstring). With
     `early_exit_on_refutation` the run may stop as soon as the refutation
     fact appears (the result is then marked partial). `worklist` ("fifo"
-    or "lifo") only affects processing order, never the final set — used
-    by the order-independence tests. Raises FactLimitExceeded when more
-    facts are stored than the polynomial bound or `fact_limit` allows.
+    or "lifo") only affects processing order, never the closure the store
+    stands for — used by the order-independence tests. Which implicit
+    facts end up stored does depend on it. Raises FactLimitExceeded when
+    more facts are stored than the polynomial bound or `fact_limit`
+    allows.
     """
     bound = polynomial_fact_bound(store.universes)
     limit = bound if fact_limit is None else min(bound, fact_limit)
@@ -413,7 +539,6 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
 
     queue: deque[tuple] = deque(eng.facts)
     pop = queue.popleft if worklist == "fifo" else queue.pop
-    lookup = eng.lookup_pos
     partial = False
 
     def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
@@ -423,30 +548,42 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         if early_exit_on_refutation and concl == refutation:
             raise _Stop
 
-    def derive(taut: tuple) -> None:
-        """Store an implicit tautology, unindexed and unqueued, with its
-        canonical derivation."""
-        rule_name, premises = _tautology_step(taut)
+    def derive(fact: tuple) -> None:
+        """Store an implicit tautology or Top-twin, unindexed and unqueued,
+        with its canonical derivation."""
+        rule_name, premises = _implicit_step(fact)
         for p in premises:
             if p not in fact_ids:
                 derive(p)
-        add(taut, rule_name, tuple([fact_ids[p] for p in premises]),
+        add(fact, rule_name, tuple([fact_ids[p] for p in premises]),
             indexed=False)
         check_limit()
 
     dispatch, seed_joins = _compile_all()
     if not (early_exit_on_refutation and refutation in fact_ids):
+        # this run's instance of each compiled join
+        made = {make: make(eng.index, fact_ids, ranges, maps, emit, derive)
+                for makers in (seed_joins, *dispatch.values())
+                for make in makers}
+        joins = {kind: [made[make] for make in makers]
+                 for kind, makers in dispatch.items()}
         try:
-            for fn in seed_joins:
-                fn(lookup, fact_ids, None, -1, ranges, maps, emit, derive)
+            for make in seed_joins:
+                made[make](None, -1)
             while queue:
                 fact = pop()
+                kind = fact[0]
+                if kind == "gci_nested":
+                    if fact[2] == _TOP:
+                        kind = _TOP_SUBJECT
+                    elif _twin(fact) in fact_ids:
+                        continue  # its twin's joins cover it
                 fid = fact_ids[fact]
-                for fn in dispatch.get(fact[0], ()):
-                    fn(lookup, fact_ids, fact, fid, ranges, maps, emit,
-                       derive)
+                for fn in joins.get(kind, ()):
+                    fn(fact, fid)
         except _Stop:
             partial = True
+        del made, joins  # they hold the engine store's indexes
     elif early_exit_on_refutation:
         partial = True
 
@@ -454,7 +591,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     # are, and every fact is listed by shape. The engine store and its
     # indexes are released first, so that they do not add to the peak.
     facts, provenance = eng.facts, eng.provenance
-    del eng, add, fact_ids, lookup
+    del eng, add, fact_ids
     out = FactStore(uni.copy())
     out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]]) for f in facts]
     out.fact_ids = dict(zip(out.facts, range(len(out.facts))))

@@ -154,15 +154,16 @@ def test_store_lookup_and_copy():
     store.add(("sharper", "H", "SN"))
     store.add(("sharper", "L", "SN"))
     store.add(("sharper", "SN", UNIVERSAL))
-    assert sorted(store.lookup_pos("sharper", (2,), "SN")) == [
+    assert sorted(store.index("sharper", (2,))["SN"]) == [
         ("sharper", "H", "SN"), ("sharper", "L", "SN"),
     ]
     # the index is kept current; unindexed facts stay out of it
     store.add(("sharper", "M", "SN"))
     store.add(("sharper", "N", "SN"), indexed=False)
-    assert len(store.lookup_pos("sharper", (2,), "SN")) == 3
-    assert store.lookup_pos("sharper", (1, 2), ("M", "SN")) == [
+    assert len(store.index("sharper", (2,))["SN"]) == 3
+    assert store.index("sharper", (1, 2))[("M", "SN")] == [
         ("sharper", "M", "SN")]
+    assert len(store.index("sharper", ())[()]) == 4
     assert ("sharper", "N", "SN") in store
     dup = store.copy()
     dup.add(("sharper", "H", UNIVERSAL))

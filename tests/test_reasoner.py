@@ -1,5 +1,7 @@
 """Tests for satisfiability checking and the entailment reductions."""
 
+import pytest
+
 from spel.model import (
     BOT,
     BOX,
@@ -15,6 +17,7 @@ from spel.model import (
     boxed,
     make_kb,
 )
+from spel.parser import parse_kb
 from spel.reasoner import (
     ENTAILED,
     NOT_ENTAILED,
@@ -138,3 +141,25 @@ def test_subchecks_recorded():
     for desc, sub in res.subchecks:
         assert isinstance(desc, str)
         assert sub.verdict in (SAT, UNSAT)
+
+
+#: a statement whose axiom has a modal filler, with the diamond of its
+#: negation: each pair is unsatisfiable, since no precisification of S can
+#: both hold and break the axiom
+MODAL_FILLER_CLASHES = [
+    "standpoint S0; concept C0; concept C1; "
+    "box S0 { dia S0 (C1 and C0) sub C0; } "
+    "dia S0 { not (dia S0 (C1 and C0) sub C0); }",
+    "box S1 { box S1 ex R0 . C1 sub ex R0 . C0; } "
+    "dia S1 { not (box S1 ex R0 . C1 sub ex R0 . C0); }",
+]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "normal-form rule (32) defines the fresh name of a modal filler under "
+    "the statement's standpoint, not under *, so the saturation misses "
+    "the clash"))
+@pytest.mark.parametrize("text", MODAL_FILLER_CLASHES,
+                         ids=["dia-filler", "box-filler"])
+def test_statement_clashes_with_its_negated_diamond(text):
+    assert check_sat(parse_kb(text)).verdict == UNSAT

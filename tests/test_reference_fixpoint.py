@@ -10,15 +10,19 @@ a fact of that shape that agrees with it on the bound positions is kept
 when `apply_rule` accepts the longer prefix.
 """
 
-from spel.preprocess import REFUTATION_FACT, TOPC, prep
+from spel.preprocess import REFUTATION_FACT, prep
 from spel.rules import RULES, Rule, Var, apply_rule
 from spel.saturation import is_refuted, saturate
 
+from conftest import informative_closure
 from genkb import TINY_PARAMS, generate_kb
 
-#: the tiny seeds in 0-99 whose engine closure holds at most 300 facts
-SMALL_SEEDS = (2, 3, 14, 19, 20, 26, 28, 32, 42, 43, 49, 59, 62, 67, 69,
-               70, 72, 78, 85, 91)
+#: tiny seeds in 0-99 with small closures, so that the naive fixpoint stays
+#: fast: 73, the smallest whose closure needs a C.1 premise matched through
+#: its Top-subject twin, and 20 whose closures hold at most 109
+#: non-tautological facts
+SMALL_SEEDS = (73, 2, 3, 14, 19, 20, 26, 28, 32, 42, 43, 49, 59, 62, 67,
+               69, 70, 72, 78, 85, 91)
 
 
 def _ground(term) -> bool:
@@ -74,11 +78,6 @@ def reference_fixpoint(store) -> set:
         facts |= new
 
 
-def _informative(facts) -> set:
-    return {f for f in facts if not (f[0] == "gci_nested" and
-                                     (f[4] == f[5] or f[5] == TOPC))}
-
-
 def test_engine_matches_reference_fixpoint():
     for seed in SMALL_SEEDS:
         store = prep(generate_kb(seed, TINY_PARAMS))
@@ -86,5 +85,6 @@ def test_engine_matches_reference_fixpoint():
         reference = reference_fixpoint(store)
         assert is_refuted(engine) == (REFUTATION_FACT in reference), \
             f"seed {seed}"
-        assert _informative(engine.facts) == _informative(reference), \
+        assert (informative_closure(engine.facts, engine.universes)
+                == informative_closure(reference, store.universes)), \
             f"seed {seed}"
