@@ -264,11 +264,6 @@ def make_kb(
     return KnowledgeBase(vocab, stmts)
 
 
-def vocabulary_of(kb: KnowledgeBase) -> Vocabulary:
-    """Names actually occurring in statements, unioned with declared names."""
-    return kb.vocabulary.merge(occurring_vocabulary(kb.statements))
-
-
 def occurring_vocabulary(statements: Iterable[Statement]) -> Vocabulary:
     concepts: set[str] = set()
     roles: set[str] = set()
@@ -376,31 +371,35 @@ def size(kb: KnowledgeBase) -> int:
 # Normal-form check
 # ---------------------------------------------------------------------------
 
-def _lhs_atom(c: ConceptTerm) -> bool:
+def is_lhs_atom(c: ConceptTerm) -> bool:
+    """Concepts allowed at an atomic left-hand position of a normal GCI."""
     return isinstance(c, (Name, Top, SelfLoop, Nominal))
 
 
-def _rhs_atom(c: ConceptTerm) -> bool:
+def is_rhs_atom(c: ConceptTerm) -> bool:
+    """Concepts allowed at an atomic right-hand position of a normal GCI."""
     return isinstance(c, (Name, Bottom, SelfLoop, Nominal))
 
 
-def _atomic(c: ConceptTerm) -> bool:
+def is_atomic(c: ConceptTerm) -> bool:
+    """Concepts allowed on the side of a normal GCI that must be atomic."""
     return isinstance(c, (Name, Top, Bottom, SelfLoop, Nominal))
 
 
 def _normal_gci(ax: GCI) -> bool:
     lhs, rhs = ax.lhs, ax.rhs
     lhs_ok = (
-        _lhs_atom(lhs)
-        or (isinstance(lhs, Exists) and _lhs_atom(lhs.filler))
-        or (isinstance(lhs, Conj) and _lhs_atom(lhs.left) and _lhs_atom(lhs.right))
+        is_lhs_atom(lhs)
+        or (isinstance(lhs, Exists) and is_lhs_atom(lhs.filler))
+        or (isinstance(lhs, Conj) and is_lhs_atom(lhs.left)
+            and is_lhs_atom(lhs.right))
     )
     rhs_ok = (
-        _rhs_atom(rhs)
-        or (isinstance(rhs, Exists) and _rhs_atom(rhs.filler))
-        or (isinstance(rhs, Modal) and _rhs_atom(rhs.inner))
+        is_rhs_atom(rhs)
+        or (isinstance(rhs, Exists) and is_rhs_atom(rhs.filler))
+        or (isinstance(rhs, Modal) and is_rhs_atom(rhs.inner))
     )
-    return lhs_ok and rhs_ok and (_atomic(lhs) or _atomic(rhs))
+    return lhs_ok and rhs_ok and (is_atomic(lhs) or is_atomic(rhs))
 
 
 def is_normal_statement(st: Statement) -> bool:

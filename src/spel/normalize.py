@@ -34,15 +34,16 @@ from .model import (
     Modal,
     ModalFormula,
     Name,
-    Nominal,
     RIA,
     RoleAssertion,
-    SelfLoop,
     Sharpening,
     Statement,
     Top,
     boxed,
+    is_atomic,
+    is_lhs_atom,
     is_normal_statement,
+    is_rhs_atom,
     make_kb,
     size,
 )
@@ -141,23 +142,13 @@ def _phase1_step(st: Statement, fresh: FreshNameFactory) -> list[Statement] | No
 # Phase 2
 # ---------------------------------------------------------------------------
 
-def _lhs_extractable(c: ConceptTerm) -> bool:
-    """Concepts that may not sit at an atomic left-hand position."""
-    return not isinstance(c, (Name, Top, SelfLoop, Nominal))
-
-
-def _rhs_extractable(c: ConceptTerm) -> bool:
-    """Concepts that may not sit at an atomic right-hand position."""
-    return not isinstance(c, (Name, Bottom, SelfLoop, Nominal))
-
-
 def _phase2_gci(s: str, ax: GCI, fresh: FreshNameFactory) -> list[Statement] | None:
     lhs, rhs = ax.lhs, ax.rhs
     if isinstance(rhs, Top):  # rule (28)
         return []
     if isinstance(lhs, Bottom):  # rule (29)
         return []
-    if isinstance(rhs, Exists) and _rhs_extractable(rhs.filler):  # rule (30)
+    if isinstance(rhs, Exists) and not is_rhs_atom(rhs.filler):  # rule (30)
         a = fresh.fresh(30)
         return [boxed(s, GCI(lhs, Exists(rhs.role, Name(a)))),
                 boxed(s, GCI(Name(a), rhs.filler))]
@@ -166,19 +157,19 @@ def _phase2_gci(s: str, ax: GCI, fresh: FreshNameFactory) -> list[Statement] | N
         return [boxed(s, GCI(lhs, Name(a))),
                 boxed(s, GCI(Name(a), rhs.left)),
                 boxed(s, GCI(Name(a), rhs.right))]
-    if isinstance(rhs, Modal) and _rhs_extractable(rhs.inner):  # rule (32)
+    if isinstance(rhs, Modal) and not is_rhs_atom(rhs.inner):  # rule (32)
         a = fresh.fresh(32)
         return [boxed(s, GCI(lhs, Modal(rhs.op, rhs.standpoint, Name(a)))),
                 boxed(s, GCI(Name(a), rhs.inner))]
-    if isinstance(lhs, Exists) and _lhs_extractable(lhs.filler):  # rule (33)
+    if isinstance(lhs, Exists) and not is_lhs_atom(lhs.filler):  # rule (33)
         a = fresh.fresh(33)
         return [boxed(s, GCI(lhs.filler, Name(a))),
                 boxed(s, GCI(Exists(lhs.role, Name(a)), rhs))]
-    if isinstance(lhs, Conj) and (
-        _lhs_extractable(lhs.left) or _lhs_extractable(lhs.right)
+    if isinstance(lhs, Conj) and not (
+        is_lhs_atom(lhs.left) and is_lhs_atom(lhs.right)
     ):  # rule (34), modulo commutativity; complex left conjunct first
         a = fresh.fresh(34)
-        if _lhs_extractable(lhs.left):
+        if not is_lhs_atom(lhs.left):
             return [boxed(s, GCI(lhs.left, Name(a))),
                     boxed(s, GCI(Conj(Name(a), lhs.right), rhs))]
         return [boxed(s, GCI(lhs.right, Name(a))),
@@ -198,9 +189,7 @@ def _phase2_gci(s: str, ax: GCI, fresh: FreshNameFactory) -> list[Statement] | N
     # Leftover case the figure rules never reach: both sides are already in
     # restricted shape but neither is atomic (e.g. ex R.A sub ex Q.B).
     # Split through a fresh middle name.
-    if not isinstance(lhs, (Name, Top, Bottom, SelfLoop, Nominal)) and not isinstance(
-        rhs, (Name, Top, Bottom, SelfLoop, Nominal)
-    ):
+    if not is_atomic(lhs) and not is_atomic(rhs):
         a = fresh.fresh("x")
         return [boxed(s, GCI(lhs, Name(a))), boxed(s, GCI(Name(a), rhs))]
     return None

@@ -4,8 +4,15 @@ A standpoint structure fixes a finite domain, a finite set of
 precisifications, a nonempty precisification set per standpoint (the
 universal standpoint covering all of them), and one classical
 interpretation per precisification; individuals are rigid. `eval_concept`
-and `eval_statement` evaluate terms, statements, and engine facts against
-such a structure directly from the semantic equations.
+and `eval_statement` evaluate concept terms and statements against such a
+structure directly from the semantic equations.
+
+Engine facts are read once, on entry (`eval_statement`, `find_model_facts`),
+as the statements they encode: a sharper or sharper_intersection fact as a
+`Sharpening`, a gci_nested fact box_t[C sub box_s[D => E]] as its tuple with
+concept terms for C, D and E, and every other fact as box_s of its axiom.
+The reading and its decoder of extended concepts are the oracle's own, not
+`preprocess`'s encoder, so that a wrong encoding shows up as a disagreement.
 
 `find_model` enumerates structures smallest-first up to the given bounds.
 Interpretations are not enumerated naively: a three-valued DFS assigns
@@ -22,10 +29,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .model import (
+    BOT,
     BOX,
     Bottom,
     ConceptAssertion,
     Conj,
+    DIA,
     EMPTY,
     Exists,
     GCI,
@@ -38,9 +47,10 @@ from .model import (
     RoleAssertion,
     SelfLoop,
     Sharpening,
+    TOP,
     Top,
     UNIVERSAL,
-    vocabulary_of,
+    boxed,
 )
 from .preprocess import FactStore
 
@@ -135,17 +145,6 @@ class _Ctx:
         return self.sigma[s]
 
     def c_bounds(self, pi: int, c) -> tuple[frozenset, frozenset]:
-        if isinstance(c, tuple):  # extended concept
-            if c[0] == "top":
-                c = _TOP_SINGLETON
-            elif c[0] == "bot":
-                c = _BOT_SINGLETON
-            elif c[0] == "cn":
-                c = Name(c[1])
-            elif c[0] == "nom":
-                c = Nominal(c[1])
-            else:
-                c = SelfLoop(c[1])
         if isinstance(c, Top):
             full = frozenset(self.domain)
             return full, full
@@ -230,7 +229,6 @@ class _Ctx:
     def _mem_atoms(self, pi: int, c, d, acc: set) -> bool:
         """Collect the unassigned atoms membership of `d` in `c` at `pi`
         depends on; False once the collection exceeds the cap."""
-        c = _as_term(c)
         if isinstance(c, (Top, Bottom, Nominal)):
             return True
         if isinstance(c, Name):
@@ -404,54 +402,19 @@ class _Ctx:
             return len(acc) <= self.cap
         raise TypeError(f"not an axiom: {ax!r}")
 
-    def _fact_atoms(self, fact: tuple, acc: set) -> bool:
-        shape = fact[0]
-        if shape in ("sharper", "sharper_intersection"):
-            return True
-        if shape == "gci_nested":
-            _, t, c, s, d, e = fact
-            for pi in self.sig(t):
-                for x in self.domain:
-                    if not self._mem_atoms(pi, c, x, acc):
-                        return False
-            for pj in self.sig(s):
-                for x in self.domain:
-                    if not (self._mem_atoms(pj, d, x, acc)
-                            and self._mem_atoms(pj, e, x, acc)):
-                        return False
-            return True
-        if shape == "ria2":
-            s, ax = fact[1], RIA((fact[2],), fact[3])
-        elif shape == "ria3":
-            s, ax = fact[1], RIA((fact[2], fact[3]), fact[4])
-        elif shape == "role_assertion":
-            s, ax = fact[1], RoleAssertion(fact[2], fact[3], fact[4])
-        elif shape == "gci_ex_right":
-            s, ax = fact[1], GCI(_as_term(fact[2]),
-                                 Exists(fact[3], _as_term(fact[4])))
-        elif shape == "gci_ex_left":
-            s, ax = fact[1], GCI(Exists(fact[2], _as_term(fact[3])),
-                                 _as_term(fact[4]))
-        elif shape == "gci_con_left":
-            s, ax = fact[1], GCI(Conj(_as_term(fact[2]), _as_term(fact[3])),
-                                 _as_term(fact[4]))
-        elif shape == "gci_dia_right":
-            s, ax = fact[1], GCI(_as_term(fact[2]),
-                                 Modal("dia", fact[3], _as_term(fact[4])))
-        else:
-            raise TypeError(f"not a fact: {fact!r}")
-        for pi in self.sig(s):
-            if not self._axiom_atoms(pi, ax, acc):
-                return False
-        return True
-
     def statement_atoms(self, st) -> list:
         """Sorted unassigned atoms the statement's truth still depends on."""
         saved, self.cap = self.cap, 10**9
         acc: set = set()
         try:
-            if isinstance(st, tuple):
-                self._fact_atoms(st, acc)
+            if isinstance(st, tuple):  # a read gci_nested fact
+                _, t, c, s, d, e = st
+                for x in self.domain:
+                    for pi in self.sig(t):
+                        self._mem_atoms(pi, c, x, acc)
+                    for pj in self.sig(s):
+                        self._mem_atoms(pj, d, x, acc)
+                        self._mem_atoms(pj, e, x, acc)
             elif isinstance(st, ModalFormula):
                 for pi in self.sig(st.standpoint):
                     for lit in st.literals:
@@ -487,8 +450,8 @@ class _Ctx:
             acc, lambda: self._monomial_literal_statuses(pi, literals))
 
     def statement_status(self, st):
-        if isinstance(st, tuple):
-            return self.fact_status(st)
+        if isinstance(st, tuple):  # a read gci_nested fact
+            return self._nested_status(st)
         if isinstance(st, Sharpening):
             meet = frozenset(self.precs)
             for s in st.lhs:
@@ -515,56 +478,6 @@ class _Ctx:
                     out = None
             return out
         raise TypeError(f"not a statement: {st!r}")
-
-    def fact_status(self, fact: tuple):
-        """Status of an engine fact read as a statement."""
-        shape = fact[0]
-        if shape == "sharper":
-            return self.sig(fact[1]) <= self.sig(fact[2])
-        if shape == "sharper_intersection":
-            return (self.sig(fact[1]) & self.sig(fact[2])) <= self.sig(fact[3])
-        if shape == "ria2":
-            return self._boxed_axiom(fact[1], RIA((fact[2],), fact[3]))
-        if shape == "ria3":
-            return self._boxed_axiom(fact[1], RIA((fact[2], fact[3]), fact[4]))
-        if shape == "role_assertion":
-            return self._boxed_axiom(
-                fact[1], RoleAssertion(fact[2], fact[3], fact[4]))
-        if shape == "gci_ex_right":
-            _, s, c, r, d = fact
-            return self._boxed_gci(s, c, Exists(r, _as_term(d)))
-        if shape == "gci_ex_left":
-            _, s, r, c, d = fact
-            return self._boxed_gci(s, Exists(r, _as_term(c)), d)
-        if shape == "gci_con_left":
-            _, s, c1, c2, d = fact
-            return self._boxed_gci(s, Conj(_as_term(c1), _as_term(c2)), d)
-        if shape == "gci_dia_right":
-            _, t, c, s, d = fact
-            return self._boxed_gci(t, c, Modal("dia", s, _as_term(d)))
-        if shape == "gci_nested":
-            return self._nested_status(fact)
-        raise TypeError(f"not a fact: {fact!r}")
-
-    def _boxed_axiom(self, s: str, ax):
-        out = True
-        for pi in self.sig(s):
-            v = self.axiom_status(pi, ax)
-            if v is False:
-                return False
-            if v is None:
-                out = None
-        return out
-
-    def _boxed_gci(self, s: str, lhs, rhs):
-        out = True
-        for pi in self.sig(s):
-            v = self.gci_status(pi, lhs, rhs)
-            if v is False:
-                return False
-            if v is None:
-                out = None
-        return out
 
     def _nested_status(self, fact: tuple):
         # box_t[C sub box_s[D => E]]: for every prec of t and member of C
@@ -598,17 +511,45 @@ class _Ctx:
 
 
 _EMPTYSET: frozenset = frozenset()
-_TOP_SINGLETON = Top()
-_BOT_SINGLETON = Bottom()
+
+#: per extended-concept tag, the concept term of its arguments
+_TERMS = {"top": lambda: TOP, "bot": lambda: BOT, "cn": Name,
+          "nom": Nominal, "self": SelfLoop}
+
+#: per fact shape, the statement a fact states, from its positions: a
+#: gci_nested fact stays a tuple, evaluated by `_Ctx._nested_status`
+_READINGS = {
+    "sharper": lambda s1, s2: Sharpening(False, (s1,), s2),
+    "sharper_intersection":
+        lambda s1, s2, s3: Sharpening(False, (s1, s2), s3),
+    "ria2": lambda s, r1, r2: boxed(s, RIA((r1,), r2)),
+    "ria3": lambda s, r1, r2, r3: boxed(s, RIA((r1, r2), r3)),
+    "role_assertion": lambda s, r, a, b: boxed(s, RoleAssertion(r, a, b)),
+    "gci_ex_right": lambda s, c, r, d: boxed(
+        s, GCI(_as_term(c), Exists(r, _as_term(d)))),
+    "gci_ex_left": lambda s, r, c, d: boxed(
+        s, GCI(Exists(r, _as_term(c)), _as_term(d))),
+    "gci_con_left": lambda s, c1, c2, d: boxed(
+        s, GCI(Conj(_as_term(c1), _as_term(c2)), _as_term(d))),
+    "gci_dia_right": lambda t, c, s, d: boxed(
+        t, GCI(_as_term(c), Modal(DIA, s, _as_term(d)))),
+    "gci_nested": lambda t, c, s, d, e: (
+        "gci_nested", t, _as_term(c), s, _as_term(d), _as_term(e)),
+}
 
 
-def _as_term(c):
-    """Extended-concept tuple -> concept term (identity on terms)."""
-    if isinstance(c, tuple):
-        return {"top": lambda: _TOP_SINGLETON, "bot": lambda: _BOT_SINGLETON,
-                "cn": lambda: Name(c[1]), "nom": lambda: Nominal(c[1]),
-                "self": lambda: SelfLoop(c[1])}[c[0]]()
-    return c
+def _as_term(c: tuple):
+    """Extended-concept tuple -> concept term."""
+    return _TERMS[c[0]](*c[1:])
+
+
+def _read(statement):
+    """A statement as it is; an engine fact as what it states (`_READINGS`)."""
+    if not isinstance(statement, tuple):
+        return statement
+    if statement[0] not in _READINGS:
+        raise TypeError(f"not a fact: {statement!r}")
+    return _READINGS[statement[0]](*statement[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +570,7 @@ def _ctx_of(structure: StandpointStructure) -> _Ctx:
 
 
 def eval_concept(structure: StandpointStructure, pi: int, concept) -> frozenset:
-    """Extension of `concept` (term or extended-concept tuple) at `pi`."""
+    """Extension of the concept term `concept` at `pi`."""
     lo, hi = _ctx_of(structure).c_bounds(pi, concept)
     if lo != hi:
         raise ValueError("structure does not interpret all names in concept")
@@ -637,8 +578,9 @@ def eval_concept(structure: StandpointStructure, pi: int, concept) -> frozenset:
 
 
 def eval_statement(structure: StandpointStructure, statement) -> bool:
-    """Truth of a Statement or engine fact in `structure`."""
-    v = _ctx_of(structure).statement_status(statement)
+    """Truth of a Statement, or of the statement an engine fact encodes,
+    in `structure`."""
+    v = _ctx_of(structure).statement_status(_read(statement))
     if v is None:
         raise ValueError("structure does not interpret all names in statement")
     return v
@@ -676,9 +618,7 @@ def _search(statements, standpoints, concepts, roles, individuals,
                     # sharpenings depend only on sigma: filter early
                     ok = True
                     for st in statements:
-                        if isinstance(st, Sharpening) or (
-                                isinstance(st, tuple) and st[0] in
-                                ("sharper", "sharper_intersection")):
+                        if isinstance(st, Sharpening):
                             if ctx.statement_status(st) is False:
                                 ok = False
                                 break
@@ -734,44 +674,41 @@ def _build_structure(ctx, concepts, roles, domain, precs, sigma,
                                role_ext, dict(individuals))
 
 
-def find_model(kb: KnowledgeBase, max_domain: int, max_precisifications: int,
-               step_budget: int = DEFAULT_STEP_BUDGET):
-    """First structure within the bounds satisfying every statement, else
-    NONE_WITHIN_BOUNDS; INCONCLUSIVE if the step budget ran out."""
+def _find(statements, standpoints, concepts, roles, individuals,
+          max_domain: int, max_precisifications: int, step_budget: int):
+    """The driver of `find_model` and `find_model_facts`, over statements
+    and read facts with the names to interpret."""
     if max_domain < 1 or max_precisifications < 1:
         raise ValueError("bounds must be at least 1")
-    vocab = vocabulary_of(kb)
-    budget = _Budget(step_budget)
     try:
-        found = _search(kb.statements, set(vocab.standpoint_names),
-                        set(vocab.concept_names), set(vocab.role_names),
-                        set(vocab.individual_names),
-                        max_domain, max_precisifications, budget)
+        found = _search(statements, standpoints, concepts, roles, individuals,
+                        max_domain, max_precisifications, _Budget(step_budget))
     except _OutOfBudget:
         return INCONCLUSIVE
     if found is None:
         return NONE_WITHIN_BOUNDS
-    assert all(eval_statement(found, st) for st in kb.statements)
+    ctx = _ctx_of(found)
+    assert all(ctx.statement_status(st) for st in statements)
     return found
+
+
+def find_model(kb: KnowledgeBase, max_domain: int, max_precisifications: int,
+               step_budget: int = DEFAULT_STEP_BUDGET):
+    """First structure within the bounds satisfying every statement, else
+    NONE_WITHIN_BOUNDS; INCONCLUSIVE if the step budget ran out."""
+    vocab = kb.vocabulary
+    return _find(kb.statements, vocab.standpoint_names, vocab.concept_names,
+                 vocab.role_names, vocab.individual_names,
+                 max_domain, max_precisifications, step_budget)
 
 
 def find_model_facts(store: FactStore, max_domain: int,
                      max_precisifications: int,
                      step_budget: int = DEFAULT_STEP_BUDGET):
-    """find_model over a fact store read as statements (used to extend
-    satisfiability checks across preprocessing)."""
-    if max_domain < 1 or max_precisifications < 1:
-        raise ValueError("bounds must be at least 1")
+    """find_model over the statements the facts of a store encode (used to
+    extend satisfiability checks across preprocessing)."""
     uni = store.universes
-    concepts = {c[1] for c in uni.concepts if c[0] == "cn"}
-    budget = _Budget(step_budget)
-    try:
-        found = _search(list(store.facts), set(uni.standpoints), concepts,
-                        set(uni.roles), set(uni.individuals),
-                        max_domain, max_precisifications, budget)
-    except _OutOfBudget:
-        return INCONCLUSIVE
-    if found is None:
-        return NONE_WITHIN_BOUNDS
-    assert all(eval_statement(found, f) for f in store.facts)
-    return found
+    return _find([_read(f) for f in store.facts], uni.standpoints,
+                 {c[1] for c in uni.concepts if c[0] == "cn"}, uni.roles,
+                 uni.individuals, max_domain, max_precisifications,
+                 step_budget)

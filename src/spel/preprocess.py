@@ -42,7 +42,6 @@ from .model import (
     Top,
     UNIVERSAL,
     is_normal_form,
-    vocabulary_of,
 )
 from .normalize import normalize
 
@@ -264,7 +263,7 @@ def to_extended_facts(kb: KnowledgeBase) -> FactStore:
     """Seed FactStore of a normal-form KB, with universes registered."""
     if not is_normal_form(kb):
         raise PreprocessError("input KB is not in normal form")
-    vocab = vocabulary_of(kb)
+    vocab = kb.vocabulary
     uni = Universes()
     uni.standpoints |= vocab.standpoint_names
     uni.roles |= vocab.role_names

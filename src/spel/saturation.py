@@ -576,7 +576,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 if kind == "gci_nested":
                     if fact[2] == _TOP:
                         kind = _TOP_SUBJECT
-                    elif _twin(fact) in fact_ids:
+                    elif fact[:2] + (_TOP,) + fact[3:] in fact_ids:
                         continue  # its twin's joins cover it
                 fid = fact_ids[fact]
                 for fn in joins.get(kind, ()):

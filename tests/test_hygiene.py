@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+so is every private name it defines at module level.
 
-No linter is configured, so this stdlib AST scan is the guard against
-dead imports."""
+No linter is configured, so these stdlib AST scans are the guard against
+dead imports and dead private helpers."""
 
 import ast
 import pathlib
@@ -35,3 +36,40 @@ def test_no_unused_imports():
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "b (line 2)", "os (line 1)"]
+
+
+def unused_private_names(source: str) -> list[str]:
+    """Module-level names starting with `_` (functions, classes and
+    assigned names) that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(defined.items())
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def test_no_unused_private_names():
+    found = {path.name: unused_private_names(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_scan_finds_an_unused_private_name():
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+              "def _f(): return _A\nclass _K: pass\ndef g(): _C = 4\n"
+              "PUBLIC = 5\n")
+    assert unused_private_names(source) == [
+        "_B (line 1)", "_C (line 2)", "_K (line 5)", "_f (line 4)"]

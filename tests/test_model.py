@@ -28,7 +28,6 @@ from spel.model import (
     make_kb,
     size,
     statement_size,
-    vocabulary_of,
 )
 
 
@@ -86,20 +85,20 @@ def test_is_normal_form_rejects_diamond_and_monomials():
 
 
 def test_vocabulary_of_example1(example1_kb):
-    voc = vocabulary_of(example1_kb)
+    voc = example1_kb.vocabulary
     assert voc.standpoint_names == frozenset({"H", "L", "SN", UNIVERSAL})
     assert {"Tumour", "Process", "HighRisk"} <= set(voc.concept_names)
     assert {"p1", "a", "b"} <= set(voc.individual_names)
 
 
 def test_vocabulary_of_empty():
-    voc = vocabulary_of(make_kb([]))
+    voc = make_kb([]).vocabulary
     assert voc.standpoint_names == frozenset({UNIVERSAL})
     assert voc.concept_names == frozenset()
 
 
 def test_vocabulary_of_assertion():
-    voc = vocabulary_of(make_kb([boxed("s", ConceptAssertion(Name("A"), "a"))]))
+    voc = make_kb([boxed("s", ConceptAssertion(Name("A"), "a"))]).vocabulary
     assert voc.concept_names == frozenset({"A"})
     assert voc.individual_names == frozenset({"a"})
     assert voc.standpoint_names == frozenset({"s", UNIVERSAL})

@@ -1,5 +1,8 @@
 """Tests for the bounded model finder and exact model evaluation."""
 
+import random
+from itertools import product
+
 import pytest
 
 from spel.model import (
@@ -16,9 +19,13 @@ from spel.model import (
     Modal,
     ModalFormula,
     Name,
+    Nominal,
+    RIA,
+    RoleAssertion,
     SelfLoop,
     Sharpening,
     boxed,
+    is_normal_form,
     make_kb,
 )
 from spel.oracle import (
@@ -30,7 +37,8 @@ from spel.oracle import (
     find_model,
     find_model_facts,
 )
-from spel.preprocess import prep
+from spel.normalize import normalize
+from spel.preprocess import FACT_SHAPES, prep, statement_to_fact
 
 from genkb import TINY_PARAMS, generate_kb
 
@@ -152,8 +160,6 @@ def test_exact_evaluation_handles_tautologies_quickly():
     # role and concept tautologies used to stall the three-valued bounds
     import time
 
-    from spel.model import RIA
-
     kb = make_kb([
         ModalFormula(DIA, "S1", (Literal(False, RIA(("R0",), "R0")),)),
         ModalFormula(DIA, "S2", (Literal(False, GCI(Conj(Name("C0"), Name("C0")), Name("C0"))),)),
@@ -162,3 +168,68 @@ def test_exact_evaluation_handles_tautologies_quickly():
     m = find_model(kb, 3, 3, step_budget=10**6)
     assert isinstance(m, StandpointStructure)
     assert time.monotonic() - t0 < 5.0
+
+
+def random_structure(rng, vocab):
+    """A structure over two elements and two precisifications that
+    interprets every name of `vocab` at random."""
+    domain = precs = (0, 1)
+    pairs = list(product(domain, domain))
+
+    def some(items, nonempty=False):
+        while True:
+            out = frozenset(x for x in items if rng.random() < 0.5)
+            if out or not nonempty:
+                return out
+
+    sigma = {s: some(precs, nonempty=True) for s in vocab.standpoint_names}
+    sigma[UNIVERSAL] = frozenset(precs)
+    return StandpointStructure(
+        domain, precs, sigma,
+        {(pi, c): some(domain) for pi in precs for c in vocab.concept_names},
+        {(pi, r): some(pairs) for pi in precs for r in vocab.role_names},
+        {a: rng.choice(domain) for a in vocab.individual_names})
+
+
+def test_fact_reading_agrees_with_the_encoding(example1_kb):
+    """The oracle reads an engine fact on its own, without `preprocess`'s
+    encoder; the fact of each normal-form statement must have the truth of
+    the statement. Checked in found models of normalized tiny KBs, and in
+    random structures for those, for normalized example1 and for a KB with
+    a statement of each shape, so that both truth values occur for every
+    fact shape."""
+    rng = random.Random(7)
+    # one statement of each shape over two roles, which the tiny KBs lack
+    mixed = make_kb([
+        Sharpening(False, ("s",), "t"),
+        Sharpening(False, ("s", "t"), "u"),
+        boxed("s", RIA(("R",), "Q")),
+        boxed("s", RIA(("R", "Q"), "R")),
+        boxed("s", RoleAssertion("R", "a", "b")),
+        boxed("s", ConceptAssertion(Name("A"), "a")),
+        boxed("s", GCI(Name("A"), Exists("R", Name("B")))),
+        boxed("s", GCI(Exists("Q", Name("A")), SelfLoop("R"))),
+        boxed("s", GCI(Conj(Name("A"), SelfLoop("R")), BOT)),
+        boxed("t", GCI(Nominal("a"), Modal(DIA, "s", Name("B")))),
+        boxed("t", GCI(TOP, Modal(BOX, "s", Name("B")))),
+        boxed("u", GCI(Name("A"), Name("B"))),
+    ])
+    assert is_normal_form(mixed)
+    kbs = [mixed] * 16 + [normalize(example1_kb)] * 4
+    cases = []
+    for seed in range(30):
+        kb = normalize(generate_kb(seed, TINY_PARAMS))
+        kbs += [kb] * 4
+        m = find_model(kb, 3, 3, step_budget=10**4)
+        if isinstance(m, StandpointStructure):
+            cases.append((m, kb))
+    cases += [(random_structure(rng, kb.vocabulary), kb) for kb in kbs]
+    seen = set()
+    for m, kb in cases:
+        for st in kb.statements:
+            fact = statement_to_fact(st)
+            truth = eval_statement(m, st)
+            assert eval_statement(m, fact) == truth, (st, fact)
+            seen.add((fact[0], truth))
+    assert seen == {(shape, truth) for shape in FACT_SHAPES
+                    for truth in (False, True)}

@@ -273,6 +273,36 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
     assert all(twin_steps), twin_steps
 
 
+def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
+    """A gci_nested fact whose Top-subject twin was stored before it was
+    popped is skipped: no join runs on it. Each join is wrapped, and the
+    check runs on the first join of each popped fact, as it was popped."""
+    dispatch, seed_joins = saturation._compile_all()
+    top = saturation._TOP
+    wrapped, first_calls, late = {}, set(), []
+
+    def watch(make):
+        def watched_make(index, fact_ids, ranges, maps, emit, derive):
+            fn = make(index, fact_ids, ranges, maps, emit, derive)
+
+            def watched(fact, fid):
+                if fact is not None and fid not in first_calls:
+                    first_calls.add(fid)
+                    if (fact[0] == "gci_nested" and fact[2] != top
+                            and fact[:2] + (top,) + fact[3:] in fact_ids):
+                        late.append(fact)
+                fn(fact, fid)
+            return watched
+        return wrapped.setdefault(make, watched_make)
+
+    monkeypatch.setattr(saturation, "_compile_all", lambda: (
+        {kind: [watch(m) for m in makers] for kind, makers in dispatch.items()},
+        [watch(m) for m in seed_joins]))
+    out = saturate(prep(example1_kb), early_exit_on_refutation=False)
+    assert not is_refuted(out) and first_calls
+    assert late == []
+
+
 def test_refutation_trace_replayable():
     kb = make_kb([boxed(UNIVERSAL, GCI(TOP, BOT))])
     out = saturate(prep(kb))
