@@ -1,6 +1,9 @@
 """Command-line front end for the standpoint EL+ reasoner.
 
 Subcommands: check, entail, normalize, saturate, export-datalog, oracle.
+`check` stops saturating at the first refutation (`--trace` prints its
+derivation); `saturate` prints the full closure. Every subcommand takes
+`--format json` for one JSON payload in place of its text lines.
 Exit codes: 0 command completed (verdict in output), 1 usage error,
 2 parse error, 3 a saturation stored more facts than allowed: either
 more than the environment variable SPEL_FACT_LIMIT allows (a cap for
@@ -50,7 +53,7 @@ def _load_kb(path: str) -> KnowledgeBase:
     return result
 
 
-def _fact_limit(args) -> int | None:
+def _fact_limit() -> int | None:
     env = os.environ.get("SPEL_FACT_LIMIT")
     if env is not None:
         try:
@@ -60,47 +63,23 @@ def _fact_limit(args) -> int | None:
     return None
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# Each command returns its verdict, fact count, JSON details and text lines.
 
-
-def _payload(command: str, path: str, verdict: str | None,
-             fact_count: int | None, started: float, details) -> dict:
-    return {
-        "command": command,
-        "input": path,
-        "verdict": verdict,
-        "fact_count": fact_count,
-        "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
-        "details": details,
-    }
-
-
-def _cmd_check(args) -> int:
-    started = time.monotonic()
-    kb = _load_kb(args.file)
-    result = check_sat(kb, trace=args.trace,
-                       early_exit=not args.no_early_exit,
-                       fact_limit=_fact_limit(args))
+def _cmd_check(args):
+    result = check_sat(_load_kb(args.file), trace=args.trace,
+                       fact_limit=_fact_limit())
     lines = [result.verdict]
     details = {}
     if args.trace and result.verdict == UNSAT:
         details["refutation_trace"] = result.refutation_trace
         lines += ["", "refutation trace:"] + (result.refutation_trace or [])
-    _emit(args, _payload("check", args.file, result.verdict,
-                         result.fact_count, started, details), lines)
-    return 0
+    return result.verdict, result.fact_count, details, lines
 
 
-def _cmd_entail(args) -> int:
-    started = time.monotonic()
+def _cmd_entail(args):
     kb = _load_kb(args.file)
     queries = _load_kb(args.query)
-    limit = _fact_limit(args)
+    limit = _fact_limit()
     results = []
     lines = []
     for statement in queries.statements:
@@ -117,13 +96,10 @@ def _cmd_entail(args) -> int:
     overall = ("ENTAILED" if results
                and all(r["verdict"] == "ENTAILED" for r in results)
                else "NOT_ENTAILED" if results else None)
-    _emit(args, _payload("entail", args.file, overall, None, started,
-                         {"queries": results}), lines)
-    return 0
+    return overall, None, {"queries": results}, lines
 
 
-def _cmd_normalize(args) -> int:
-    started = time.monotonic()
+def _cmd_normalize(args):
     kb = _load_kb(args.file)
     normal = normalize(kb)
     rendered = render_kb(normal)
@@ -134,49 +110,53 @@ def _cmd_normalize(args) -> int:
         details["output_size"] = size(normal)
         lines += ["", f"input size: {size(kb)}",
                   f"output size: {size(normal)}"]
-    _emit(args, _payload("normalize", args.file, None, None, started,
-                         details), lines)
-    return 0
+    return None, None, details, lines
 
 
-def _cmd_saturate(args) -> int:
-    started = time.monotonic()
-    kb = _load_kb(args.file)
-    store = saturate(prep(kb), early_exit_on_refutation=False,
-                     fact_limit=_fact_limit(args))
+def _cmd_saturate(args):
+    store = saturate(prep(_load_kb(args.file)),
+                     early_exit_on_refutation=False,
+                     fact_limit=_fact_limit())
     if args.trace:
         body = export_trace(store)
     else:
         body = "\n".join(format_fact(f) for f in store.facts)
-    _emit(args, _payload("saturate", args.file, None, len(store.facts),
-                         started, {"facts": body.splitlines()}), [body])
-    return 0
+    return None, len(store.facts), {"facts": body.splitlines()}, [body]
 
 
-def _cmd_export_datalog(args) -> int:
-    started = time.monotonic()
-    kb = _load_kb(args.file)
+def _cmd_export_datalog(args):
     name = os.path.splitext(os.path.basename(args.file))[0]
-    paths = write_program(prep(kb), args.out, name)
-    _emit(args, _payload("export-datalog", args.file, None, None, started,
-                         {"files": paths}), [f"wrote {p}" for p in paths])
-    return 0
+    paths = write_program(prep(_load_kb(args.file)), args.out, name)
+    return None, None, {"files": paths}, [f"wrote {p}" for p in paths]
 
 
-def _cmd_oracle(args) -> int:
-    started = time.monotonic()
-    kb = _load_kb(args.file)
-    found = oracle_mod.find_model(kb, args.max_domain, args.max_prec)
+def _cmd_oracle(args):
+    found = oracle_mod.find_model(_load_kb(args.file), args.max_domain,
+                                  args.max_prec)
     if found is oracle_mod.NONE_WITHIN_BOUNDS:
-        verdict, lines, details = "NONE_WITHIN_BOUNDS", ["NoneWithinBounds"], {}
-    elif found is oracle_mod.INCONCLUSIVE:
-        verdict, lines, details = "INCONCLUSIVE", ["Inconclusive"], {}
+        return "NONE_WITHIN_BOUNDS", None, {}, ["NoneWithinBounds"]
+    if found is oracle_mod.INCONCLUSIVE:
+        return "INCONCLUSIVE", None, {}, ["Inconclusive"]
+    dump = found.dump()
+    return "MODEL_FOUND", None, {"model": dump.splitlines()}, [dump]
+
+
+def _run(args) -> int:
+    """Time the command and print its text lines, or its JSON payload."""
+    started = time.monotonic()
+    verdict, fact_count, details, lines = args.func(args)
+    if args.format == "json":
+        print(json.dumps({
+            "command": args.command,
+            "input": args.file,
+            "verdict": verdict,
+            "fact_count": fact_count,
+            "elapsed_ms": round((time.monotonic() - started) * 1000.0, 3),
+            "details": details,
+        }, indent=2, sort_keys=True))
     else:
-        dump = found.dump()
-        verdict, lines = "MODEL_FOUND", [dump]
-        details = {"model": dump.splitlines()}
-    _emit(args, _payload("oracle", args.file, verdict, None, started,
-                         details), lines)
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -195,8 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--trace", action="store_true",
                    help="print the refutation derivation on UNSAT")
-    p.add_argument("--no-early-exit", action="store_true",
-                   help="saturate fully even after refutation")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("entail", help="decide entailment of query statements")
@@ -237,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return _run(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -221,11 +221,9 @@ class KnowledgeBase:
     statements: tuple[Statement, ...] = ()
 
     def __post_init__(self) -> None:
-        seen: list[Statement] = []
-        for st in self.statements:
-            if st not in seen:
-                seen.append(st)
-        object.__setattr__(self, "statements", tuple(seen))
+        # drop repeated statements, keeping first occurrences in order
+        object.__setattr__(self, "statements",
+                           tuple(dict.fromkeys(self.statements)))
         occ = occurring_vocabulary(self.statements)
         missing = (
             (occ.concept_names - self.vocabulary.concept_names)

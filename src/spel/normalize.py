@@ -257,27 +257,15 @@ def _run_phase(statements, step, fresh, budget) -> list[Statement]:
     return done
 
 
-def normalize_phase1(
-    kb: KnowledgeBase, fresh: FreshNameFactory
-) -> KnowledgeBase:
-    budget = MAX_APPLICATIONS_PER_SIZE * max(size(kb), 1)
-    out = _run_phase(kb.statements, _phase1_step, fresh, budget)
-    return make_kb(out, declared=kb.vocabulary)
-
-
-def normalize_phase2(
-    kb: KnowledgeBase, fresh: FreshNameFactory
-) -> KnowledgeBase:
-    budget = MAX_APPLICATIONS_PER_SIZE * max(size(kb), 1)
-    out = _run_phase(kb.statements, _phase2_step, fresh, budget)
-    return make_kb(out, declared=kb.vocabulary)
-
-
 def normalize(kb: KnowledgeBase) -> KnowledgeBase:
     """Full normalization; output satisfies `is_normal_form` and is an
     equisatisfiable conservative extension of the input."""
     fresh = FreshNameFactory()
-    out = normalize_phase2(normalize_phase1(kb, fresh), fresh)
+    out = kb
+    for step in (_phase1_step, _phase2_step):
+        budget = MAX_APPLICATIONS_PER_SIZE * max(size(out), 1)
+        out = make_kb(_run_phase(out.statements, step, fresh, budget),
+                      declared=out.vocabulary)
     bad = [st for st in out.statements if not is_normal_statement(st)]
     if bad:
         raise NormalizationError(f"statements left in non-normal shape: {bad!r}")

@@ -142,7 +142,6 @@ class _Parser:
         self.allow_fresh = allow_fresh
         self.kinds: dict[str, str] = {}  # name -> concept|role|individual|standpoint
         self.statements: list[Statement] = []
-        self.declared_only: dict[str, str] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -205,9 +204,6 @@ class _Parser:
         self.next()
         return self.register(tok, kind)
 
-    def kind_of(self, name: str) -> str | None:
-        return self.kinds.get(name)
-
     # -- statement dispatch --------------------------------------------------
 
     def parse_kb(self) -> None:
@@ -245,20 +241,14 @@ class _Parser:
     def parse_statement(self) -> Statement:
         if (self.at("box") or self.at("dia")) and self.peek(2).text == "{":
             return self.parse_formula()
-        negated = False
-        if self.at("not"):
-            self.next()
-            negated = True
         if self.sharpening_ahead():
+            negated = self.at("not")
+            if negated:
+                self.next()
             return self.parse_sharpening(negated)
-        parens = negated and self.at("(") and not self.concept_assertion_ahead()
-        if parens:
-            self.next()
-        axiom = self.parse_axiom()
-        if parens:
-            self.expect(")")
+        literal = self.parse_literal()
         self.expect(";")
-        return ModalFormula(BOX, UNIVERSAL, (Literal(negated, axiom),))
+        return ModalFormula(BOX, UNIVERSAL, (literal,))
 
     def sharpening_ahead(self) -> bool:
         """True if a '<=' occurs before the next top-level ';'."""
@@ -357,7 +347,7 @@ class _Parser:
                 return self.parse_assertion()
             if nxt == "o":
                 return self.parse_ria()
-            if nxt == "sub" and self.kind_of(tok.text) == "role":
+            if nxt == "sub" and self.kinds.get(tok.text) == "role":
                 return self.parse_ria()
         lhs = self.parse_concept()
         if self.at("("):
@@ -371,7 +361,7 @@ class _Parser:
 
     def parse_assertion(self) -> ConceptAssertion | RoleAssertion:
         head = self.peek()
-        kind = self.kind_of(head.text)
+        kind = self.kinds.get(head.text)
         if kind is None:
             # infer from arity: scan for a comma inside the parentheses
             i = self.pos + 2

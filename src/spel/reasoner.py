@@ -57,11 +57,10 @@ class EntailResult:
 
 
 def check_sat(kb: KnowledgeBase, trace: bool = False,
-              early_exit: bool = True,
               fact_limit: int | None = None) -> SatResult:
-    """SAT iff the saturated preprocessed KB lacks the refutation fact."""
-    store = saturate(prep(kb), early_exit_on_refutation=early_exit,
-                     fact_limit=fact_limit)
+    """SAT iff the saturated preprocessed KB lacks the refutation fact;
+    the saturation stops once it derives that fact."""
+    store = saturate(prep(kb), fact_limit=fact_limit)
     if is_refuted(store):
         return SatResult(UNSAT, len(store),
                          refutation_trace(store) if trace else None)

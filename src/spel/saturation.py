@@ -1,12 +1,12 @@
 """Semi-naive fixpoint saturation of a fact store under the calculus.
 
 The engine seeds the premise-free schema instances over the registered
-universes, then works a queue of not-yet-joined facts: each popped fact is
-tried in every premise position it can fill, the remaining premises are
-joined through on-demand hash indexes, and new conclusions are interned
-with provenance and appended to the queue. A join only admits facts no
-newer than the popped one, so every premise combination is produced
-exactly once — when its newest member is processed.
+universes, then walks its fact list in id order: the list is the
+worklist, and new conclusions are appended to it with provenance. Each
+fact the walk reaches is tried in every premise position it can fill, and
+the remaining premises are joined through on-demand hash indexes. A join
+only admits facts no newer than the one reached, so every premise
+combination is produced exactly once — when its newest member is reached.
 
 Two kinds of gci_nested fact box_t[C sub box_s[D => E]] are implicit:
 - tautologies, with D = E or E = Top: they hold in every structure, and
@@ -17,58 +17,59 @@ Two kinds of gci_nested fact box_t[C sub box_s[D => E]] are implicit:
 Storing them would make up most of a saturated store and most rule
 firings. Instead:
 - a conclusion that is a tautology, or whose Top-subject twin is stored,
-  is neither stored nor queued, and the premise-free rules that only give
-  tautologies (T.3, T.4) are not instantiated;
+  is not stored, and the premise-free rules that only give tautologies
+  (T.3, T.4) are not instantiated;
 - each join over a gci_nested premise also matches the tautologies
   consistent with its bound positions, as if they were older than every
   stored fact; joins whose premises are all tautologies run once, before
-  the queue;
+  the walk;
 - each join over a gci_nested premise whose subject is not the constant
   Top also matches stored Top-subject facts there, as every subject: the
   premise's subject is then bound by another premise, or ranges over the
   universe (individuals, for a nominal);
-- a popped fact whose twin was stored after it, before it was popped, is
+- a fact whose twin was stored after it, before the walk reached it, is
   not joined: the twin's joins cover every combination it would make.
   Facts stored before their twin arrived stay in the store;
 - join variants that can only conclude a tautology, one of their own
   stored premises or a twin of one, are dropped when the rules are
   compiled, and so is a twin match whose subject only reappears as the
   conclusion's subject;
-- an implicit fact that is a premise of a stored conclusion is stored too
-  (unindexed, unqueued) with its derivation (`_implicit_step`): a twin by
-  C.2 from its stored twin, a tautology at most four steps from the T
-  rules. So every provenance entry names stored ids and replays through
-  `apply_rule`.
+- an implicit fact that is a premise of a stored conclusion is stored too,
+  unindexed, with its derivation (`_implicit_step`): a twin by C.2 from
+  its stored twin, a tautology at most four steps from the T rules. So
+  every provenance entry names stored ids and replays through
+  `apply_rule`. Such a premise-only fact is a tautology or has a stored
+  twin, and the walk skips it when it reaches it.
 D = Bot facts stay explicit: the calculus has no schema for them, and
 matching them implicitly would add Bot-subject copies of most facts.
 
 Two mechanical speedups, invisible in the results:
 - every (rule, premise position, implicit and twin premises) variant is
   compiled once, on first use, into a closure of plain loops and tuple
-  accesses, and runs only on the popped facts it can match (for
+  accesses, and runs only on the facts reached that it can match (for
   gci_nested, by whether the subject is Top); the declarative table in
   `rules` stays the single source of truth, and the variants are planned
   with its pattern operations (`unify`, `resolve`, `pattern_vars`), the
   ones trace replay uses when it re-checks every derivation through
   `apply_rule`;
-- each run interns its terms (standpoints, roles, individuals, extended
-  concepts) to integers in tables of its own, with maps linking nominals
-  and self-loop concepts to their individual/role, and joins over a
-  `FactStore` of interned facts; at the end it decodes that store once
-  into a readable `FactStore`. Only `*`, Top and Bot, the constants the
-  compiled joins hold, have fixed ids, so runs share no mutable state and
-  may go on side by side in threads.
+- each run interns the terms of its universes (standpoints, roles,
+  individuals, extended concepts) to integers, once, in tables of its own,
+  with maps linking nominals and self-loop concepts to their
+  individual/role, and joins over a `FactStore` of interned facts; at the
+  end it decodes that store once into a readable `FactStore`. Only `*`,
+  Top and Bot, the constants the compiled joins hold, have fixed ids, so
+  runs share no mutable state and may go on side by side in threads.
 
 The fact space is fixed by the universes: `preprocess.FACT_SHAPES` gives
-the universe of every position of every shape. So the run is bounded by
-an explicit polynomial, the size of that space; exceeding it signals an
-engine bug rather than a big input. A caller may set a lower limit. Both
-count stored facts only, and the error says which one tripped.
+the universe of every position of every shape, and an input fact naming a
+term outside them is an error. So the run is bounded by an explicit
+polynomial, the size of that space; exceeding it signals an engine bug
+rather than a big input. A caller may set a lower limit. Both count
+stored facts only, and the error says which one tripped.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
 from itertools import product
 from math import prod
@@ -80,6 +81,8 @@ from .preprocess import (
     KINDS,
     Fact,
     FactStore,
+    NESTED_TAGS,
+    PreprocessError,
     REFUTATION_FACT,
     TOPC,
     Universes,
@@ -147,7 +150,7 @@ _TAUTOLOGY_FAMILIES = {
 #: of its instances
 _TWIN = "twin"
 
-#: the dispatch key of popped gci_nested facts with subject Top
+#: the dispatch key of the gci_nested facts with subject Top
 _TOP_SUBJECT = "gci_nested/Top"
 
 
@@ -221,13 +224,13 @@ def _join_plan(rule: Rule, modes: dict[int, str]):
 def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                   twins: list[int], premises: tuple, conclusion: tuple):
     """Compile the join of a `_join_plan` starting from premise position
-    `i` (None: no popped fact), with the `implicit` premises generated
+    `i` (None: no fact reached), with the `implicit` premises generated
     rather than looked up and the `twins` matched by their Top-subject
     twins. The result makes, for one run,
     make(index, fact_ids, ranges, maps, emit, derive), the closure
-    fn(fact, fid) to call on each popped fact (fact None for a join without
-    one); `index(shape, positions)` gives the run's index tables, and
-    `maps` holds its nominal and self-loop maps by name."""
+    fn(fact, fid) to call on each fact the walk reaches (fact None for a
+    join without one); `index(shape, positions)` gives the run's index
+    tables, and `maps` holds its nominal and self-loop maps by name."""
     matched = [_twin(p) if j in twins else p for j, p in enumerate(premises)]
     stored = [j for j in range(len(premises)) if j not in implicit]
     # built from their variables once every stored premise is bound
@@ -317,7 +320,7 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
         lines.extend(destructure("fact", matched[i]))
         run_guards()
 
-    # stored premises are looked up (and must be no newer than the popped
+    # stored premises are looked up (and must be no newer than the reached
     # fact); generated ones are built afterwards from their free variables
     for j in (k for k in stored if k != i):
         pat = matched[j]
@@ -405,7 +408,7 @@ def _defer_pattern(pat: tuple, deferred: list) -> tuple:
 
 @cache
 def _compile_all():
-    """Per kind of popped fact (its shape, with gci_nested facts split by
+    """Per kind of fact reached (its shape, with gci_nested facts split by
     whether their subject is Top), the joins to run; plus the joins whose
     premises are all implicit tautologies, which run once per saturation.
     Compiled on first use, so importing the package stays cheap."""
@@ -418,7 +421,7 @@ def _compile_all():
         if rule.premises and len(nested) == len(rule.premises):
             starts.append((None, None))
         for i, pat in starts:
-            # the popped fact is stored; another gci_nested premise may
+            # the fact reached is stored; another gci_nested premise may
             # also be an implicit tautology; either may be a twin unless
             # its subject is Top
             options = [(None,) + (() if j == i else tuple(_TAUTOLOGY_FAMILIES))
@@ -430,7 +433,7 @@ def _compile_all():
                 implicit = sorted(j for j, m in modes.items() if m != _TWIN)
                 twins = sorted(j for j, m in modes.items() if m == _TWIN)
                 if i is None and len(implicit) < len(nested):
-                    continue  # a stored premise fires when it is popped
+                    continue  # a stored premise fires when it is reached
                 plan = _join_plan(rule, modes)
                 # families may coincide on a pattern (e.g. D = E = Top)
                 key = (tuple(implicit), tuple(twins), plan)
@@ -441,14 +444,14 @@ def _compile_all():
                 if i is None:
                     seeds.append(fn)
                     continue
-                for kind in _popped_kinds(i, twins, plan[0]):
+                for kind in _reached_kinds(i, twins, plan[0]):
                     dispatch.setdefault(kind, []).append(fn)
     return dispatch, seeds
 
 
-def _popped_kinds(i: int, twins: list[int], premises: tuple) -> list[str]:
-    """The kinds of popped fact a join from premise `i` takes: its shape,
-    and for gci_nested, whether the subject may be Top or something else.
+def _reached_kinds(i: int, twins: list[int], premises: tuple) -> list[str]:
+    """The kinds of fact reached that a join from premise `i` takes: its
+    shape, and for gci_nested, whether the subject may be Top or not.
     A twin or a Top pattern takes only Top; a nominal, or the subject
     variable of a twin, takes anything but Top."""
     pat = premises[i]
@@ -472,54 +475,49 @@ class _Stop(Exception):
 
 
 def saturate(store: FactStore, early_exit_on_refutation: bool = True,
-             fact_limit: int | None = None,
-             worklist: str = "fifo") -> FactStore:
+             fact_limit: int | None = None) -> FactStore:
     """Closure of `store` under all rules; returns a new store.
 
     Implicit tautologies and Top-twins are not stored, except those that
     are premises of stored facts (see the module docstring). With
     `early_exit_on_refutation` the run may stop as soon as the refutation
-    fact appears (the result is then marked partial). `worklist` ("fifo"
-    or "lifo") only affects processing order, never the closure the store
-    stands for — used by the order-independence tests. Which implicit
-    facts end up stored does depend on it. Raises FactLimitExceeded when
-    more facts are stored than the polynomial bound or `fact_limit`
-    allows.
+    fact appears (the result is then marked partial). Raises
+    PreprocessError when an input fact names a term outside the store's
+    universes, and FactLimitExceeded when more facts are stored than the
+    polynomial bound or `fact_limit` allows.
     """
-    bound = polynomial_fact_bound(store.universes)
+    uni = store.universes
+    bound = polynomial_fact_bound(uni)
     limit = bound if fact_limit is None else min(bound, fact_limit)
 
-    # This run's interning tables: term <-> id, and the maps between a
-    # nominal (self-loop) concept id and its individual (role) id.
-    terms = list(_FIXED_TERMS)
+    # This run's interning tables, fixed by the universes: term <-> id,
+    # each kind's ids, and the maps between a nominal (self-loop) concept
+    # id and its individual (role) id. `*` and Top lead their ranges: they
+    # are the values an implicit premise takes where any value will do.
     term_ids = dict(_FIXED_IDS)
+    ranges: dict = {}
+    for kind in KINDS:
+        ranges[kind] = [term_ids.setdefault(t, len(term_ids))
+                        for t in uni.of(kind)]
+        ranges[("any", kind)] = ranges[kind][:1]
+    terms = list(term_ids)
+    members = {kind: set(ranges[kind]) for kind in KINDS}
     maps: dict[str, dict[int, int]] = {
         name: {} for pair in _NESTED_MAPS.values() for name in pair}
-
-    def intern(term) -> int:
-        tid = term_ids.get(term)
-        if tid is None:
-            tid = term_ids[term] = len(terms)
-            terms.append(term)
-            if is_nested(term):
-                down, up = _NESTED_MAPS[term[0]]
-                inner = intern(term[1])
-                maps[down][tid] = inner
-                maps[up][inner] = tid
-        return tid
+    for c in uni.concepts:
+        if is_nested(c):
+            down, up = _NESTED_MAPS[c[0]]
+            inner = term_ids.get(c[1], -1)
+            if inner not in members[NESTED_TAGS[c[0]]]:
+                raise PreprocessError(f"concept {format_term(c)} names a "
+                                      "term outside the universes")
+            maps[down][term_ids[c]] = inner
+            maps[up][inner] = term_ids[c]
 
     def intern_fact(fact: Fact) -> tuple:
-        return (fact[0],) + tuple([intern(t) for t in fact[1:]])
+        return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
 
-    # Intern the universes first so the nominal/self maps are complete
-    # before any rule fires. `*` and Top lead their ranges: they are the
-    # values an implicit premise takes where any value will do.
-    uni = store.universes
-    ranges: dict = {kind: [intern(t) for t in uni.of(kind)] for kind in KINDS}
-    for kind in list(ranges):
-        ranges[("any", kind)] = ranges[kind][:1]
     refutation = intern_fact(REFUTATION_FACT)
-
     eng = FactStore(uni)
     add = eng.add
     fact_ids = eng.fact_ids
@@ -529,28 +527,30 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
             raise FactLimitExceeded(len(fact_ids), limit, limit == bound)
 
     for fid, fact in enumerate(store.facts):
+        interned = intern_fact(fact)
+        if any(t not in members[kind] for t, (_, kind)
+               in zip(interned[1:], FACT_SHAPES.get(fact[0], ()))):
+            raise PreprocessError(f"input fact {format_fact(fact)} names a "
+                                  "term outside the universes")
         rule, premises = store.provenance[fid]
-        add(intern_fact(fact), rule, premises)
+        add(interned, rule, premises)
     for rule in RULES:
         if not rule.premises and not _is_tautology(rule.conclusion):
             for fact in instantiate_conclusion(rule, {}, uni):
                 add(intern_fact(fact), rule.name, ())
     check_limit()
 
-    queue: deque[tuple] = deque(eng.facts)
-    pop = queue.popleft if worklist == "fifo" else queue.pop
     partial = False
 
     def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
         add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
         check_limit()
-        queue.append(concl)
         if early_exit_on_refutation and concl == refutation:
             raise _Stop
 
     def derive(fact: tuple) -> None:
-        """Store an implicit tautology or Top-twin, unindexed and unqueued,
-        with its canonical derivation."""
+        """Store an implicit tautology or Top-twin, unindexed, with its
+        canonical derivation; the walk skips it."""
         rule_name, premises = _implicit_step(fact)
         for p in premises:
             if p not in fact_ids:
@@ -570,21 +570,23 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         try:
             for make in seed_joins:
                 made[make](None, -1)
-            while queue:
-                fact = pop()
+            # The fact list is the worklist: the loop also reaches the
+            # facts appended while it runs.
+            for fid, fact in enumerate(eng.facts):
                 kind = fact[0]
                 if kind == "gci_nested":
+                    if fact[4] == fact[5] or fact[5] == _TOP:
+                        continue  # a tautology: matched implicitly
                     if fact[2] == _TOP:
                         kind = _TOP_SUBJECT
                     elif fact[:2] + (_TOP,) + fact[3:] in fact_ids:
                         continue  # its twin's joins cover it
-                fid = fact_ids[fact]
                 for fn in joins.get(kind, ()):
                     fn(fact, fid)
         except _Stop:
             partial = True
         del made, joins  # they hold the engine store's indexes
-    elif early_exit_on_refutation:
+    else:
         partial = True
 
     # Decode into a readable store; ids and provenance carry over as they

@@ -27,8 +27,8 @@ def informative_closure(facts, universes):
     with every Top-twin box_t[C sub box_s[D => E]] of each of its
     box_t[Top sub box_s[D => E]] facts, C over the concept universe, and
     without the tautologies (D = E or E = Top). Saturation leaves both kinds
-    implicit, so which of them a store holds depends on the worklist order;
-    this set does not."""
+    implicit, so which of them a store holds depends on the order of its
+    input facts; this set does not."""
     out = set(facts)
     out.update(("gci_nested", t, c, s, d, e)
                for _, t, top, s, d, e in

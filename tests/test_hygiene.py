@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module, and
-so is every private name it defines at module level.
+"""Every name a module of the package imports is used in that module, so
+is every private name it defines at module level, and every attribute it
+assigns on `self` is read somewhere in the package.
 
 No linter is configured, so these stdlib AST scans are the guard against
-dead imports and dead private helpers."""
+dead imports, dead private helpers and dead instance state."""
 
 import ast
 import pathlib
@@ -73,3 +74,39 @@ def test_scan_finds_an_unused_private_name():
               "PUBLIC = 5\n")
     assert unused_private_names(source) == [
         "_B (line 1)", "_C (line 2)", "_K (line 5)", "_f (line 4)"]
+
+
+def unread_attributes(sources: dict[str, str]) -> list[str]:
+    """Attributes that the modules in `sources` (file name -> source)
+    assign as `self.<name>` and that none of them reads as `<x>.<name>`;
+    an augmented assignment reads its target."""
+    assigned, read = {}, set()
+    for filename, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.AugAssign) and isinstance(
+                    node.target, ast.Attribute):
+                read.add(node.target.attr)
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                assigned.setdefault(node.attr, f"{filename} line {node.lineno}")
+    return [f"{name} ({where})" for name, where in sorted(assigned.items())
+            if name not in read]
+
+
+def test_no_unread_attributes():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_attributes(sources) == []
+
+
+def test_scan_finds_an_unread_attribute():
+    sources = {
+        "a.py": ("class K:\n    def __init__(self):\n        self.x = 1\n"
+                 "        self.y = 2\n        self.n = 0\n"
+                 "    def bump(self):\n        self.n += 1\n"),
+        "b.py": "def f(k):\n    return k.x\n",
+    }
+    assert unread_attributes(sources) == ["y (a.py line 4)"]

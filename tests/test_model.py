@@ -112,6 +112,14 @@ def test_kb_equality_is_set_based():
     assert make_kb([a]) != make_kb([a, b])
 
 
+def test_kb_drops_repeated_statements_in_first_occurrence_order():
+    a = boxed("s", GCI(Name("A"), Name("B")))
+    b = Sharpening(False, ("s",), UNIVERSAL)
+    c = boxed("s", RoleAssertion("R", "x", "y"))
+    kb = make_kb([b, a, b, c, a, Sharpening(False, ("s",), UNIVERSAL)])
+    assert kb.statements == (b, a, c)
+
+
 def test_sharpening_deduplicates_lhs():
     sh = Sharpening(False, ("H", "L", "H"), "SN")
     assert sh.lhs == ("H", "L")

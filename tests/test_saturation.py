@@ -1,6 +1,8 @@
 """Tests for the saturation engine, the rule table, and trace replay."""
 
 import itertools
+import random
+import re
 import sys
 import threading
 
@@ -25,6 +27,7 @@ from spel.preprocess import (
     REFUTATION_FACT,
     TOPC,
     FactStore,
+    PreprocessError,
     Universes,
     prep,
 )
@@ -123,16 +126,41 @@ def test_example1_saturation(example1_store):
     assert ("gci_nested", UNIVERSAL, ("nom", "p1"), "H", TOPC, ("cn", "HighRisk")) in example1_store
 
 
-def test_worklist_order_independence():
-    for seed in (0, 3, 5):
-        kb = generate_kb(seed, TINY_PARAMS)
-        store = prep(kb)
-        fifo = saturate(store.copy(), early_exit_on_refutation=False, worklist="fifo")
-        lifo = saturate(store.copy(), early_exit_on_refutation=False, worklist="lifo")
-        # which implicit facts get stored depends on the order
-        assert (informative_closure(fifo.facts, fifo.universes)
-                == informative_closure(lifo.facts, lifo.universes)), \
+def test_input_order_independence():
+    """The closure a saturation stands for does not depend on the order of
+    its input facts; which implicit facts it stores does."""
+    for seed in range(10):
+        store = prep(generate_kb(seed, TINY_PARAMS))
+        shuffled = list(store.facts)
+        random.Random(seed).shuffle(shuffled)
+        closures = []
+        for facts in (store.facts, store.facts[::-1], shuffled):
+            reordered = FactStore(store.universes.copy())
+            for fact in facts:
+                reordered.add(fact)
+            out = saturate(reordered, early_exit_on_refutation=False)
+            closures.append(informative_closure(out.facts, out.universes))
+        assert closures[0] == closures[1] == closures[2], \
             f"seed {seed} diverges"
+
+
+def test_input_fact_outside_the_universes_is_rejected():
+    """The universes fix the fact space, and the polynomial bound with it:
+    an input fact naming any other term, or a term of another kind, is an
+    error that names the fact."""
+    with pytest.raises(PreprocessError, match=r"sharper\(H, SN\)"):
+        saturate(fresh_store([("sharper", "H", "SN")]))
+    misplaced = ("gci_nested", "a", TOPC, UNIVERSAL, TOPC, ("cn", "A"))
+    store = fresh_store([misplaced], individuals={"a"},
+                        concepts={TOPC, BOTC, ("cn", "A"), ("nom", "a")})
+    with pytest.raises(PreprocessError, match=re.escape(format_fact(misplaced))):
+        saturate(store)
+    store.universes.standpoints.add("a")
+    assert not is_refuted(saturate(store))
+    # so is a nominal in the universes whose individual is not in them
+    store.universes.concepts.add(("nom", "b"))
+    with pytest.raises(PreprocessError, match=r"\{b\}"):
+        saturate(store)
 
 
 def all_tautologies(universes):
@@ -274,12 +302,15 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
 
 
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
-    """A gci_nested fact whose Top-subject twin was stored before it was
-    popped is skipped: no join runs on it. Each join is wrapped, and the
-    check runs on the first join of each popped fact, as it was popped."""
+    """The walk over the fact list joins no premise-only fact. A
+    gci_nested fact whose Top-subject twin was stored before the walk
+    reached it is skipped, and so is every tautology (D = E or E = Top),
+    which saturation stores only as the premise of a stored fact. Each
+    join is wrapped; the twin check runs on the first join of each fact
+    reached, as it was reached, and the tautology check on every join."""
     dispatch, seed_joins = saturation._compile_all()
     top = saturation._TOP
-    wrapped, first_calls, late = {}, set(), []
+    wrapped, first_calls, late, tautologies = {}, set(), [], []
 
     def watch(make):
         def watched_make(index, fact_ids, ranges, maps, emit, derive):
@@ -291,6 +322,9 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
                     if (fact[0] == "gci_nested" and fact[2] != top
                             and fact[:2] + (top,) + fact[3:] in fact_ids):
                         late.append(fact)
+                if (fact is not None and fact[0] == "gci_nested"
+                        and (fact[4] == fact[5] or fact[5] == top)):
+                    tautologies.append(fact)
                 fn(fact, fid)
             return watched
         return wrapped.setdefault(make, watched_make)
@@ -301,6 +335,10 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     out = saturate(prep(example1_kb), early_exit_on_refutation=False)
     assert not is_refuted(out) and first_calls
     assert late == []
+    assert tautologies == []
+    # the run stores premise-only tautologies, so the walk did reach some
+    assert any(f[0] == "gci_nested" and (f[4] == f[5] or f[5] == TOPC)
+               for f in out.facts)
 
 
 def test_refutation_trace_replayable():
