@@ -158,9 +158,12 @@ def _phase2_gci(s: str, ax: GCI, fresh: FreshNameFactory) -> list[Statement] | N
                 boxed(s, GCI(Name(a), rhs.left)),
                 boxed(s, GCI(Name(a), rhs.right))]
     if isinstance(rhs, Modal) and not is_rhs_atom(rhs.inner):  # rule (32)
+        # The modal evaluates its filler at the inner standpoint's
+        # precisifications, not at s's: the fresh name stands for it in
+        # every precisification.
         a = fresh.fresh(32)
         return [boxed(s, GCI(lhs, Modal(rhs.op, rhs.standpoint, Name(a)))),
-                boxed(s, GCI(Name(a), rhs.inner))]
+                boxed(UNIVERSAL, GCI(Name(a), rhs.inner))]
     if isinstance(lhs, Exists) and not is_lhs_atom(lhs.filler):  # rule (33)
         a = fresh.fresh(33)
         return [boxed(s, GCI(lhs.filler, Name(a))),

@@ -18,7 +18,6 @@ an addressable witness standpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .model import (
     BOX,
@@ -119,13 +118,13 @@ class Universes:
 
 
 class FactStore:
-    """Fact set with provenance and incremental secondary indexes.
+    """Fact set with provenance.
 
     Monotone: facts are only ever added. Each fact gets a dense integer id;
     provenance maps id -> (rule name, premise ids), with rule "input" and
     no premises for seeds. Saturation runs on a store of interned facts
-    (terms replaced by integers) and returns a readable one; the class is
-    the same.
+    (terms replaced by integers), joined through index tables of the run's
+    own, and returns a readable one; the class is the same.
     """
 
     def __init__(self, universes: Universes | None = None) -> None:
@@ -133,14 +132,8 @@ class FactStore:
         self.facts: list[Fact] = []
         self.fact_ids: dict[Fact, int] = {}
         self.provenance: list[tuple[str, tuple[int, ...]]] = []
-        #: per shape, the indexed facts (all of them unless added with
-        #: indexed=False)
+        #: per shape, its facts in id order
         self.by_shape: dict[str, list[Fact]] = {}
-        # (shape, positions) -> {key -> [facts]}, where the key is the value
-        # at the one position, or the tuple of values at several
-        self._indexes: dict[tuple, dict] = {}
-        # shape -> [(key function, index)], the indexes add() keeps current
-        self._indexes_of: dict[str, list] = {}
         self.partial = False  # set when saturation early-exits
 
     def __contains__(self, fact: Fact) -> bool:
@@ -150,10 +143,8 @@ class FactStore:
         return len(self.facts)
 
     def add(self, fact: Fact, rule: str = INPUT_RULE,
-            premises: tuple[int, ...] = (),
-            indexed: bool = True) -> int | None:
-        """Store `fact`; returns its new id, or None if already present.
-        Unindexed facts are invisible to `by_shape` and `index`."""
+            premises: tuple[int, ...] = ()) -> int | None:
+        """Store `fact`; returns its new id, or None if already present."""
         if fact in self.fact_ids:
             return None
         if fact[0] not in FACT_SHAPES:
@@ -162,32 +153,8 @@ class FactStore:
         self.facts.append(fact)
         self.fact_ids[fact] = fid
         self.provenance.append((rule, premises))
-        if indexed:
-            self.by_shape.setdefault(fact[0], []).append(fact)
-            for key_of, table in self._indexes_of.get(fact[0], ()):
-                key = key_of(fact)
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [fact]
-                else:
-                    bucket.append(fact)
+        self.by_shape.setdefault(fact[0], []).append(fact)
         return fid
-
-    def index(self, shape: str, positions: tuple[int, ...]) -> dict:
-        """The index of the indexed facts of `shape` by their `positions`,
-        kept current by `add`: the value at the one position, or the tuple
-        of values at several (the empty tuple for none), to the facts."""
-        if not positions:
-            return {(): self.by_shape.setdefault(shape, [])}
-        table = self._indexes.get((shape, positions))
-        if table is None:
-            key_of = itemgetter(*positions)
-            table = {}
-            for f in self.by_shape.get(shape, ()):
-                table.setdefault(key_of(f), []).append(f)
-            self._indexes[(shape, positions)] = table
-            self._indexes_of.setdefault(shape, []).append((key_of, table))
-        return table
 
     def copy(self) -> "FactStore":
         out = FactStore(self.universes.copy())

@@ -4,61 +4,80 @@ The engine seeds the premise-free schema instances over the registered
 universes, then walks its fact list in id order: the list is the
 worklist, and new conclusions are appended to it with provenance. Each
 fact the walk reaches is tried in every premise position it can fill, and
-the remaining premises are joined through on-demand hash indexes. A join
-only admits facts no newer than the one reached, so every premise
-combination is produced exactly once — when its newest member is reached.
+the remaining premises are joined through hash indexes of the facts
+reached so far, so every premise combination is produced when its newest
+member is reached.
 
-Two kinds of gci_nested fact box_t[C sub box_s[D => E]] are implicit:
-- tautologies, with D = E or E = Top: they hold in every structure, and
-  the calculus derives every one over the universes;
-- Top-twins, with C other than Top, whose twin box_t[Top sub box_s[D => E]]
-  is stored: the twin implies them by C.2 over the tautology
-  box_*[Top sub box_t[C => Top]], for every C of the concept universe.
+Two kinds of fact are implicit:
+- tautologies, the gci_nested facts box_t[C sub box_s[D => E]] with D = E
+  or E = Top: they hold in every structure, and the calculus derives
+  every one over the universes;
+- twins: a fact with a stored strict generalization over its
+  generalizable positions (`_GENERAL`), which are the subject of a
+  gci_nested fact, generalized to Top; the outer standpoint of every
+  shape S.3 lifts, generalized to `*`; and the inner standpoint of a
+  gci_nested fact, generalized to `*`. The generalization implies the
+  fact: by C.2 over the tautology box_*[Top sub box_t[C => Top]] for the
+  subject, and by S.3 or S.4 with the T.1 seed sharper(s, *) for a
+  standpoint, as `*` is the universal standpoint. So box_S[C sub
+  box_H[D => E]] is implicit when box_*[Top sub box_*[D => E]] is stored.
 Storing them would make up most of a saturated store and most rule
 firings. Instead:
-- a conclusion that is a tautology, or whose Top-subject twin is stored,
-  is not stored, and the premise-free rules that only give tautologies
+- a conclusion that is a tautology, or has a stored generalization, is
+  not stored, and the premise-free rules that only give tautologies
   (T.3, T.4) are not instantiated;
 - each join over a gci_nested premise also matches the tautologies
   consistent with its bound positions, as if they were older than every
   stored fact; joins whose premises are all tautologies run once, before
   the walk;
-- each join over a gci_nested premise whose subject is not the constant
-  Top also matches stored Top-subject facts there, as every subject: the
-  premise's subject is then bound by another premise, or ranges over the
-  universe (individuals, for a nominal);
-- a fact whose twin was stored after it, before the walk reached it, is
-  not joined: the twin's joins cover every combination it would make.
-  Facts stored before their twin arrived stay in the store;
+- each join also matches a premise through its stored generalizations:
+  where another premise binds a generalizable position, the lookup also
+  probes the constant there; where none does, a join variant looks up
+  the fact with the constant there, and leaves the position to later
+  premises' lookups or to its universe (individuals, for a nominal). A
+  fact reached that holds the constant at a generalizable position runs
+  the variants that bind the position from it and those that leave it
+  open. A variable that a later premise binds to the constant there
+  stops the variant: the one that binds the position from the fact
+  covers it;
+- a fact with a stored generalization when the walk reaches it is not
+  joined: the generalization's joins cover every combination it would
+  make. Facts stored before their generalization arrived stay in the
+  store;
 - join variants that can only conclude a tautology, one of their own
-  stored premises or a twin of one, are dropped when the rules are
-  compiled, and so is a twin match whose subject only reappears as the
-  conclusion's subject;
-- an implicit fact that is a premise of a stored conclusion is stored too,
-  unindexed, with its derivation (`_implicit_step`): a twin by C.2 from
-  its stored twin, a tautology at most four steps from the T rules. So
-  every provenance entry names stored ids and replays through
-  `apply_rule`. Such a premise-only fact is a tautology or has a stored
-  twin, and the walk skips it when it reaches it.
+  stored premises or a generalization of one, are dropped when the
+  rules are compiled, and so are a probe or a variant whose lifted
+  variable reappears only at generalizable positions of the conclusion;
+- an implicit fact that is a premise of a stored conclusion is stored
+  too, as a premise only, with its derivation (`_implicit_step`): a
+  twin by C.2 from its Top-subject copy, or by S.3:<shape> or S.4 from
+  its `*` copy and sharper(s, *), one position at a time until a stored
+  generalization is reached; a tautology at most four steps from the T
+  rules. So every provenance entry names stored ids and replays through
+  `apply_rule`. The walk skips such a fact when it reaches it.
 D = Bot facts stay explicit: the calculus has no schema for them, and
 matching them implicitly would add Bot-subject copies of most facts.
 
 Two mechanical speedups, invisible in the results:
-- every (rule, premise position, implicit and twin premises) variant is
-  compiled once, on first use, into a closure of plain loops and tuple
-  accesses, and runs only on the facts reached that it can match (for
-  gci_nested, by whether the subject is Top); the declarative table in
-  `rules` stays the single source of truth, and the variants are planned
-  with its pattern operations (`unify`, `resolve`, `pattern_vars`), the
-  ones trace replay uses when it re-checks every derivation through
-  `apply_rule`;
+- every (rule, premise position, implicit, lifted and probed premises)
+  variant is compiled once, on first use, into a closure of plain loops
+  and tuple accesses, and runs only on the facts reached that it can
+  match (by shape, and by which generalizable positions hold their
+  constant); the declarative table in `rules` stays the single source of
+  truth, and the variants are planned with its pattern operations
+  (`unify`, `resolve`, `pattern_vars`), the ones trace replay uses when
+  it re-checks every derivation through `apply_rule`;
 - each run interns the terms of its universes (standpoints, roles,
   individuals, extended concepts) to integers, once, in tables of its own,
   with maps linking nominals and self-loop concepts to their
-  individual/role, and joins over a `FactStore` of interned facts; at the
-  end it decodes that store once into a readable `FactStore`. Only `*`,
-  Top and Bot, the constants the compiled joins hold, have fixed ids, so
-  runs share no mutable state and may go on side by side in threads.
+  individual/role, and joins over a `FactStore` of interned facts through
+  index tables of its own: a fact enters them when the walk reaches and
+  joins it, so they hold no fact newer than the one reached, and a lookup
+  whose every position is bound is a membership test on the store. At
+  the end the run decodes its store once into a readable `FactStore`.
+  Only `*`, Top and Bot, the constants the compiled joins hold, have
+  fixed ids, so runs share no mutable state and may go on side by side
+  in threads.
 
 The fact space is fixed by the universes: `preprocess.FACT_SHAPES` gives
 the universe of every position of every shape, and an input fact naming a
@@ -73,6 +92,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import prod
+from operator import itemgetter
+from typing import NamedTuple
 
 from .model import UNIVERSAL
 from .preprocess import (
@@ -127,8 +148,13 @@ _NESTED_MAPS = {"nom": ("NOM2IND", "IND2NOM"),
                 "self": ("SELF2ROLE", "ROLE2SELF")}
 
 
+def _no_key(fact: tuple) -> tuple:
+    """The key of a fact in an index table by no position."""
+    return ()
+
+
 # ---------------------------------------------------------------------------
-# Implicit facts: tautologies and Top-twins
+# Implicit facts: tautologies and generalization twins
 # ---------------------------------------------------------------------------
 
 def _is_tautology(fact: Fact) -> bool:
@@ -146,98 +172,188 @@ _TAUTOLOGY_FAMILIES = {
     "E=Top": lambda pat: (pat[5], TOPC),
 }
 
-#: the join mode of a gci_nested premise matched by the Top-subject twin
-#: of its instances
-_TWIN = "twin"
+#: Per fact shape, its generalizable positions with the constant each
+#: generalizes to, in the order `_implicit_step` lifts them: the subject of
+#: a gci_nested fact (Top, by C.2), the outer standpoint of every shape
+#: S.3 lifts (`*`), and the inner standpoint of a gci_nested fact (`*`,
+#: by S.4).
+_GENERAL: dict[str, tuple[tuple[int, object], ...]] = {
+    rule.premises[0][0]: ((1, UNIVERSAL),)
+    for rule in RULES if rule.name.startswith("S.3:")}
+_GENERAL["gci_nested"] = ((2, TOPC), (1, UNIVERSAL), (3, UNIVERSAL))
+#: the same, with the constants' fixed ids, for interned facts
+_GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
+                for shape, spots in _GENERAL.items()}
 
-#: the dispatch key of the gci_nested facts with subject Top
-_TOP_SUBJECT = "gci_nested/Top"
+
+def _lift(fact: tuple, positions) -> tuple:
+    """`fact` (or a pattern) with the constant of each generalizable
+    position in `positions` put there."""
+    spots = dict(_GENERAL.get(fact[0], ()))
+    return tuple(spots[k] if k in positions else p
+                 for k, p in enumerate(fact))
 
 
-def _twin(fact: tuple) -> tuple:
-    """The Top-subject twin of a gci_nested fact or pattern, which implies
-    it by C.2 over the tautology box_*[Top sub box_t[C => Top]]."""
-    return fact[:2] + (TOPC,) + fact[3:]
+def _lifts(fact: tuple, spots) -> list[tuple]:
+    """The strict generalizations of `fact` over `spots`, its
+    (position, constant) pairs: the constant put at a non-empty subset of
+    the positions that do not hold it yet."""
+    free = [(k, c) for k, c in spots if fact[k] != c]
+    out = []
+    for n in range(1, 1 << len(free)):
+        lifted = list(fact)
+        for bit, (k, c) in enumerate(free):
+            if n >> bit & 1:
+                lifted[k] = c
+        out.append(tuple(lifted))
+    return out
 
 
-def _implicit_step(fact: tuple) -> tuple[str, tuple]:
-    """The last step of a canonical derivation of an interned implicit
-    fact. A Top-twin, and a tautology with a subject C other than Top,
-    follow by C.2 from box_*[Top sub box_t[C => Top]] and the Top-subject
-    twin; a Top-subject tautology is a premise-free T rule lifted to
-    standpoints t and s by S.3/S.4."""
-    _, t, c, s, d, e = fact
-    if c != _TOP:
-        return "C.2", (("gci_nested", _STAR, _TOP, t, c, _TOP),
-                       ("gci_nested", t, _TOP, s, d, e))
-    if t != _STAR:
-        return "S.3:gci_nested", (("gci_nested", _STAR, _TOP, s, d, e),
-                                  ("sharper", t, _STAR))
-    if s != _STAR:
-        return "S.4", (("gci_nested", _STAR, _TOP, _STAR, d, e),
-                       ("sharper", s, _STAR))
-    return ("T.3" if d == e else "T.4"), ()
+def _implicit_step(fact: tuple, stored) -> tuple[str, tuple]:
+    """The last step of a canonical derivation of an interned implicit fact
+    from the ids in `stored`: it lifts the first position, in `_GENERAL`
+    order, that a stored generalization of the fact (any, for a tautology)
+    holds the constant at. A subject C other than Top follows by C.2 from
+    box_*[Top sub box_t[C => Top]] and the Top-subject copy; an outer or
+    inner standpoint s other than `*` by S.3:<shape> or S.4 from the
+    `*` copy and the T.1 seed sharper(s, *). A tautology with all three
+    lifted is a premise-free T rule."""
+    tautology = fact[0] == "gci_nested" and (fact[4] == fact[5]
+                                             or fact[5] == _TOP)
+    spots = _GENERAL_IDS[fact[0]]
+    lifted = [g for g in _lifts(fact, spots) if g in stored]
+    for k, const in spots:
+        if fact[k] != const and (tautology
+                                 or any(g[k] == const for g in lifted)):
+            general = fact[:k] + (const,) + fact[k + 1:]
+            if k == 2:
+                return "C.2", (("gci_nested", _STAR, _TOP, fact[1],
+                                fact[2], _TOP), general)
+            rule = "S.4" if fact[0] == "gci_nested" and k == 3 else (
+                "S.3:" + fact[0])
+            return rule, (general, ("sharper", fact[k], _STAR))
+    return ("T.3" if fact[4] == fact[5] else "T.4"), ()
 
 
 # ---------------------------------------------------------------------------
 # Rule compilation
 # ---------------------------------------------------------------------------
 
-def _join_plan(rule: Rule, modes: dict[int, str]):
-    """The premise and conclusion patterns of `rule` when each premise in
-    `modes` is an implicit tautology of the given family or, for `_TWIN`,
-    a twin of a stored Top-subject fact; or None when no such instance
-    exists or every one is already implied: a tautology, one of its own
-    stored premises or a twin of one. So is a twin whose subject variable
-    shows up elsewhere only as the subject of an implicit premise or of
-    the conclusion: with that subject Top, the plan without the twin
-    concludes the Top-subject twin of each of its conclusions."""
+class _Plan(NamedTuple):
+    """One join variant of a rule, as `_join_plan` makes it."""
+    #: the premise the fact reached fills, or None for a join without one
+    start: int | None
+    premises: tuple
+    conclusion: tuple
+    #: the premises that are implicit tautologies, generated
+    implicit: tuple[int, ...]
+    #: (premise, positions) pairs: the stored fact holds the constant at
+    #: those positions, and their terms are bound elsewhere or range over
+    #: their universe
+    masks: tuple[tuple[int, tuple[int, ...]], ...]
+    #: (premise, positions) pairs: positions bound before the lookup,
+    #: where the constant is probed too
+    probes: tuple[tuple[int, tuple[int, ...]], ...]
+    #: the fact reached: its shape and generalizable positions holding
+    #: the constant
+    kind: tuple | None
+
+
+def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
+               masks: dict[int, tuple[int, ...]],
+               consts: tuple[int, ...] = ()) -> _Plan | None:
+    """The variant of `rule` started from premise `i` in which each premise
+    in `families` is an implicit tautology of the given family, each
+    premise in `masks` is matched by a stored fact holding the constant at
+    the given positions, and the reached premise holds the constant at
+    `consts`. None when no such instance exists or every one is already
+    implied: a tautology, one of its own stored premises or a
+    generalization of one; or when another variant makes the same
+    combinations. A masked position bound by an earlier premise is the
+    probe's job, and a masked variable that shows up elsewhere only where
+    a premise is lifted or at the conclusion's generalizable positions
+    repeats the variant with that variable set to the constant, which
+    concludes a generalization of each of its conclusions."""
     subst: dict | None = {}
-    for j, mode in modes.items():
-        if mode != _TWIN:
-            subst = unify(*_TAUTOLOGY_FAMILIES[mode](rule.premises[j]),
-                          subst)
-            if subst is None:
-                return None
+    for j, family in families.items():
+        subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
+        if subst is None:
+            return None
+    for k in consts:
+        subst = unify(rule.premises[i][k],
+                      dict(_GENERAL[rule.premises[i][0]])[k], subst)
+        if subst is None:
+            return None
     premises = resolve(rule.premises, subst)
     conclusion = resolve(rule.conclusion, subst)
-    twins = [j for j, mode in modes.items() if mode == _TWIN]
-    if any(premises[j][2] == TOPC for j in twins):
-        return None  # a Top subject is its own twin: the plain join's job
-    # what the stored premises match; a twin matches its Top-subject twin
-    stored = [_twin(p) if j in twins else p for j, p in enumerate(premises)
-              if modes.get(j, _TWIN) == _TWIN]
-    nested = conclusion[0] == "gci_nested"
-    if conclusion in stored or nested and (
-            _is_tautology(conclusion) or _twin(conclusion) in stored):
+    spots = [dict(_GENERAL.get(p[0], ())) for p in premises]
+    if any(premises[j][k] == spots[j][k] for j, ks in masks.items()
+           for k in ks):
+        return None  # already the constant: the plain variant's job
+    matched = [_lift(p, masks.get(j, ())) for j, p in enumerate(premises)]
+    stored = [matched[j] for j in range(len(premises)) if j not in families]
+    conclusion_spots = _GENERAL.get(conclusion[0], ())
+    general = [conclusion] + _lifts(conclusion, conclusion_spots)
+    if _is_tautology(conclusion) or any(g in stored for g in general):
         return None
-    loose = [_twin(p) if j in modes else p for j, p in enumerate(premises)]
-    elsewhere = {var for pat in loose + [_twin(conclusion) if nested
-                                         else conclusion]
-                 for var, _ in pattern_vars(pat)}
-    if any(isinstance(premises[j][2], Var)
-           and premises[j][2].name not in elsewhere for j in twins):
+    # the join order: the reached premise, then the other stored ones
+    order = [j for j in range(len(premises))
+             if j != i and j not in families]
+    bound: set[str] = set()
+    probes = {}
+    for j in ([] if i is None else [i]) + order:
+        for k in spots[j]:
+            names = _term_vars(premises[j][k])
+            if not names or not all(v in bound for v in names):
+                continue
+            if k in masks.get(j, ()):
+                return None
+            # probe the constant too, unless what it finds implies the
+            # conclusion
+            if _lift(matched[j], (k,)) not in general:
+                probes.setdefault(j, []).append(k)
+        bound.update(v for v, _ in pattern_vars(matched[j]))
+    loose = [_lift(p, spots[j] if j in families else masks.get(j, ()))
+             for j, p in enumerate(premises)]
+    loose.append(_lift(conclusion, [k for k, _ in conclusion_spots
+                                    if isinstance(conclusion[k], Var)]))
+    elsewhere = {var for pat in loose for var, _ in pattern_vars(pat)}
+    if any(isinstance(premises[j][k], Var)
+           and premises[j][k].name not in elsewhere
+           for j, ks in masks.items() for k in ks):
         return None
-    return premises, conclusion
+    kind = None
+    if i is not None:
+        kind = (premises[i][0],
+                tuple(k for k, c in _GENERAL.get(premises[i][0], ())
+                      if matched[i][k] == c))
+    return _Plan(i, premises, conclusion, tuple(sorted(families)),
+                 tuple(sorted(masks.items())),
+                 tuple((j, tuple(ks)) for j, ks in sorted(probes.items())),
+                 kind)
 
 
-def _compile_join(rule: Rule, i: int | None, implicit: list[int],
-                  twins: list[int], premises: tuple, conclusion: tuple):
-    """Compile the join of a `_join_plan` starting from premise position
-    `i` (None: no fact reached), with the `implicit` premises generated
-    rather than looked up and the `twins` matched by their Top-subject
-    twins. The result makes, for one run,
+def _compile_join(rule: Rule, plan: _Plan):
+    """Compile the join of a `_join_plan`. The result makes, for one run,
     make(index, fact_ids, ranges, maps, emit, derive), the closure
     fn(fact, fid) to call on each fact the walk reaches (fact None for a
     join without one); `index(shape, positions)` gives the run's index
-    tables, and `maps` holds its nominal and self-loop maps by name."""
-    matched = [_twin(p) if j in twins else p for j, p in enumerate(premises)]
+    tables, which hold the facts reached so far, and `maps` holds its
+    nominal, self-loop and alternative-key maps by name."""
+    i, premises, conclusion = plan.start, plan.premises, plan.conclusion
+    masks, probes = dict(plan.masks), dict(plan.probes)
+    implicit = list(plan.implicit)
+    matched = [_lift(p, masks.get(j, ())) for j, p in enumerate(premises)]
     stored = [j for j in range(len(premises)) if j not in implicit]
     # built from their variables once every stored premise is bound
-    generated = implicit + twins
-    # a twin's subject variable bound to Top repeats the plain join
-    not_top = {premises[j][2].name for j in twins
-               if isinstance(premises[j][2], Var)}
+    generated = implicit + [j for j in stored if j in masks]
+    # named by their own terms when a conclusion is emitted
+    rebuilt = generated + [j for j in stored if j in probes
+                           and j not in masks]
+    # a masked variable bound to the constant repeats another variant
+    bail_on = {premises[j][k].name: _FIXED_IDS[dict(_GENERAL[
+        premises[j][0]])[k]] for j, ks in masks.items() for k in ks
+        if isinstance(premises[j][k], Var)}
     used_maps: set[str] = set()
     tables: dict[tuple, str] = {}
 
@@ -263,8 +379,8 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
 
     def bind(var: str, out: list[str]) -> None:
         bound.add(var)
-        if var in not_top:
-            out.append(f"{ind}if v_{var} == {_TOP}: {bail()}")
+        if var in bail_on:
+            out.append(f"{ind}if v_{var} == {bail_on[var]}: {bail()}")
 
     def destructure(src: str, pat: tuple) -> list[str]:
         out = []
@@ -292,66 +408,91 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                 out.append(f"{ind}if {src}[{j}] != {term_expr(p)}: {bail()}")
         return out
 
-    # A conclusion that is a tautology, or whose Top-subject twin is
-    # stored, is implied: each test runs as soon as its variables are bound.
+    # A conclusion that is a tautology, or one of whose generalizations is
+    # stored, is implied: each test runs as soon as its variables are
+    # bound, and the conclusion's own membership test first of those that
+    # wait for all of them.
     guards = []
+    conclusion_vars = _term_vars(conclusion)
     if conclusion[0] == "gci_nested":
         pairs = [sides(conclusion) for sides in _TAUTOLOGY_FAMILIES.values()]
         pairs = [pair for pair in pairs if unify(*pair, {}) is not None]
         if pairs:
-            guards.append((pairs, " or ".join(
+            guards.append((_term_vars(pairs), " or ".join(
                 f"{term_expr(a)} == {term_expr(b)}" for a, b in pairs)))
-        if conclusion[2] != TOPC:
-            # a subject variable may take Top in this join, and conclude
-            # the twin itself: wait for it
-            twin = _twin(conclusion)
-            wait = twin if is_nested(conclusion[2]) else conclusion
-            guards.append(([wait], f"{tuple_expr(twin)} in fact_ids"))
+    guards.append((conclusion_vars, "_c in fact_ids"))
+    spots = _GENERAL.get(conclusion[0], ())
+    free = [(k, c) for k, c in spots if conclusion[k] != c]
+    for n in range((1 << len(free)) - 1, 0, -1):
+        lifted = [k for bit, (k, _) in enumerate(free) if n >> bit & 1]
+        # a variable at a lifted position may take the constant in this
+        # join, and conclude the generalization itself: wait for it
+        wait = [v for k in lifted if isinstance(conclusion[k], Var)
+                for v in _term_vars(conclusion[k])]
+        guards.append((_term_vars(_lift(conclusion, lifted)) + wait,
+                       f"{tuple_expr(_lift(conclusion, lifted))} "
+                       "in fact_ids"))
+    computed = []  # the indentation at which _c was computed
 
     def run_guards() -> None:
         for guard in list(guards):
-            terms, test = guard
-            if all(v in bound for v in _term_vars(terms)):
+            names, test = guard
+            if all(v in bound for v in names):
+                if test == "_c in fact_ids":
+                    lines.append(f"{ind}_c = {tuple_expr(conclusion)}")
+                    computed.append(ind)
                 lines.append(f"{ind}if {test}: {bail()}")
                 guards.remove(guard)
 
     if i is not None:
         lines.append(f"{ind}p{i} = fact")
-        lines.extend(destructure("fact", matched[i]))
+        # its kind fixes which generalizable positions hold the constant
+        general = plan.kind[1]
+        lines.extend(destructure("fact", tuple(
+            None if k in general else p for k, p in enumerate(matched[i]))))
         run_guards()
 
-    # stored premises are looked up (and must be no newer than the reached
-    # fact); generated ones are built afterwards from their free variables
+    # Stored premises are looked up in tables of facts reached so far, or
+    # by membership when every position is bound; generated ones are
+    # built afterwards from their free variables.
     for j in (k for k in stored if k != i):
         pat = matched[j]
         positions, value_exprs, deferred = [], [], []
         for k, p in enumerate(pat[1:], start=1):
-            if isinstance(p, Var):
-                groundable = p.name in bound
-            elif is_nested(p):
-                groundable = p[1].name in bound
-            else:
-                groundable = True
-            if groundable:
+            if all(v in bound for v in _term_vars(p)):
                 positions.append(k)
-                value_exprs.append(term_expr(p))
+                expr = term_expr(p)
+                if k in probes.get(j, ()):
+                    alt = ("ALT_S" if dict(_GENERAL[pat[0]])[k] == UNIVERSAL
+                           else "ALT_C")
+                    used_maps.add(alt)
+                    lines.append(f"{ind}for a{j}_{k} in {alt}[{expr}]:")
+                    ind += "    "
+                    expr = f"a{j}_{k}"
+                value_exprs.append(expr)
             else:
                 deferred.append((k, p))
-        key = (value_exprs[0] if len(value_exprs) == 1
-               else "(" + ", ".join(value_exprs) + ")")
-        table = tables.setdefault((pat[0], tuple(positions)),
-                                  f"T{len(tables)}")
-        lines.append(f"{ind}for p{j} in {table}.get({key}, ()):")
-        ind += "    "
-        lines.append(f"{ind}if fact_ids[p{j}] > fid: continue")
-        lines.extend(destructure(f"p{j}", _defer_pattern(pat, deferred)))
+        if not deferred:
+            lines.append(f"{ind}p{j} = ({pat[0]!r}, "
+                         + ", ".join(value_exprs) + ")")
+            lines.append(f"{ind}if fact_ids.get(p{j}, fid + 1) > fid: "
+                         f"{bail()}")
+        else:
+            key = (value_exprs[0] if len(value_exprs) == 1
+                   else "(" + ", ".join(value_exprs) + ")")
+            table = tables.setdefault((pat[0], tuple(positions)),
+                                      f"T{len(tables)}")
+            lines.append(f"{ind}for p{j} in {table}.get({key}, ()):")
+            ind += "    "
+            lines.extend(destructure(f"p{j}", _defer_pattern(pat, deferred)))
         run_guards()
 
-    # Only the Top instance of a conclusion's subject is needed: the others
-    # are its twins.
+    # Only the constant instance of a conclusion's generalizable position
+    # is needed: the others are its specializations.
+    loose_conclusion = _lift(conclusion, [k for k, _ in spots
+                                          if isinstance(conclusion[k], Var)])
     for n, j in enumerate(generated):
-        later = [_twin(conclusion) if conclusion[0] == "gci_nested"
-                 else conclusion] + [premises[k] for k in generated[n + 1:]]
+        later = [loose_conclusion] + [premises[k] for k in generated[n + 1:]]
         needed = {var for pat in later for var, _ in pattern_vars(pat)}
         for var, kind in pattern_vars(premises[j]):
             if var not in bound:
@@ -361,7 +502,6 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
                 ind += "    "
                 bind(var, lines)
                 run_guards()
-        lines.append(f"{ind}p{j} = {tuple_expr(premises[j])}")
 
     for var, kind in rule.ranges:
         if var not in bound:
@@ -369,14 +509,15 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
             ind += "    "
             bound.add(var)
     run_guards()
+    if computed[0] != ind:  # a loop since: a conclusion emitted in it
+        lines.append(f"{ind}if _c in fact_ids: continue")
 
+    for j in rebuilt:
+        lines.append(f"{ind}p{j} = {tuple_expr(premises[j])}")
+        lines.append(f"{ind}if p{j} not in fact_ids: derive(p{j})")
     prems = ("(" + ", ".join(f"p{k}" for k in range(len(premises)))
              + ("," if len(premises) == 1 else "") + ")")
-    lines.append(f"{ind}_c = {tuple_expr(conclusion)}")
-    lines.append(f"{ind}if _c not in fact_ids:")
-    for j in generated:
-        lines.append(f"{ind}    if p{j} not in fact_ids: derive(p{j})")
-    lines.append(f"{ind}    emit(_c, {prems}, {rule.name!r})")
+    lines.append(f"{ind}emit(_c, {prems}, {rule.name!r})")
 
     head = ["def _make(index, fact_ids, ranges, maps, emit, derive):"]
     head += [f"    {m} = maps[{m!r}]" for m in sorted(used_maps)]
@@ -384,7 +525,8 @@ def _compile_join(rule: Rule, i: int | None, implicit: list[int],
     head += ["    def _fn(fact, fid):"]
     lines = head + ["    " + line for line in lines] + ["    return _fn"]
     ns: dict = {}
-    label = f"<join {rule.name} from {i}, implicit {implicit}, twins {twins}>"
+    label = (f"<join {rule.name} from {i}, implicit {implicit}, "
+             f"masks {plan.masks}, probes {plan.probes}>")
     exec(compile("\n".join(lines), label, "exec"), ns)  # noqa: S102
     return ns["_make"]
 
@@ -406,64 +548,76 @@ def _defer_pattern(pat: tuple, deferred: list) -> tuple:
     return tuple(wild)
 
 
+def _subsets(items: list) -> list[tuple]:
+    return [tuple(x for bit, x in enumerate(items) if n >> bit & 1)
+            for n in range(1 << len(items))]
+
+
+def _modes(rule: Rule, i: int | None):
+    """The (families, masks) choices `_join_plan` is asked about for a join
+    of `rule` from premise `i`: each gci_nested premise other than the
+    reached one may be an implicit tautology, and each premise may be
+    matched by a stored fact lifted at some of its generalizable positions
+    that hold no constant."""
+    options = []
+    for j, pat in enumerate(rule.premises):
+        choices = ([({j: f}, {}) for f in _TAUTOLOGY_FAMILIES]
+                   if pat[0] == "gci_nested" and j != i else [])
+        if i is not None:
+            choices += [({}, {j: ks} if ks else {})
+                        for ks in _subsets(_liftable(pat))]
+        options.append(choices)
+    for choice in product(*options):
+        families: dict[int, str] = {}
+        masks: dict[int, tuple[int, ...]] = {}
+        for family, mask in choice:
+            families.update(family)
+            masks.update(mask)
+        yield families, masks
+
+
+def _liftable(pat: tuple) -> list[int]:
+    """The generalizable positions of a pattern that hold no constant."""
+    return [k for k, c in _GENERAL.get(pat[0], ()) if pat[k] != c]
+
+
 @cache
 def _compile_all():
-    """Per kind of fact reached (its shape, with gci_nested facts split by
-    whether their subject is Top), the joins to run; plus the joins whose
-    premises are all implicit tautologies, which run once per saturation.
-    Compiled on first use, so importing the package stays cheap."""
-    dispatch: dict[str, list] = {}
+    """Per kind of fact reached (its shape, with the generalizable
+    positions holding their constant), the joins to run; plus the joins
+    whose premises are all implicit tautologies, which run once per
+    saturation. A join binding a variable from a generalizable position
+    of the fact reached runs on the facts with the constant there, and on
+    the others, unless the variant with that variable set to the constant
+    is pruned. Compiled on first use, so importing the package stays
+    cheap."""
+    dispatch: dict[tuple, list] = {}
     seeds: list = []
     for rule in RULES:
-        nested = [j for j, p in enumerate(rule.premises)
-                  if p[0] == "gci_nested"]
-        starts = list(enumerate(rule.premises))
-        if rule.premises and len(nested) == len(rule.premises):
-            starts.append((None, None))
-        for i, pat in starts:
-            # the fact reached is stored; another gci_nested premise may
-            # also be an implicit tautology; either may be a twin unless
-            # its subject is Top
-            options = [(None,) + (() if j == i else tuple(_TAUTOLOGY_FAMILIES))
-                       + ((_TWIN,) if rule.premises[j][2] != TOPC else ())
-                       for j in nested]
-            seen = set()
-            for choice in product(*options):
-                modes = {j: m for j, m in zip(nested, choice) if m}
-                implicit = sorted(j for j, m in modes.items() if m != _TWIN)
-                twins = sorted(j for j, m in modes.items() if m == _TWIN)
-                if i is None and len(implicit) < len(nested):
-                    continue  # a stored premise fires when it is reached
-                plan = _join_plan(rule, modes)
-                # families may coincide on a pattern (e.g. D = E = Top)
-                key = (tuple(implicit), tuple(twins), plan)
-                if plan is None or key in seen:
+        starts: list = list(range(len(rule.premises)))
+        if rule.premises and all(p[0] == "gci_nested"
+                                 for p in rule.premises):
+            starts.append(None)
+        seen = set()
+        for i in starts:
+            for families, masks in _modes(rule, i):
+                plan = _join_plan(rule, i, families, masks)
+                if plan is None or plan in seen:
                     continue
-                seen.add(key)
-                fn = _compile_join(rule, i, implicit, twins, *plan)
+                seen.add(plan)
+                make = _compile_join(rule, plan)
                 if i is None:
-                    seeds.append(fn)
+                    seeds.append(make)
                     continue
-                for kind in _reached_kinds(i, twins, plan[0]):
-                    dispatch.setdefault(kind, []).append(fn)
+                plain = [k for k in _liftable(plan.premises[i])
+                         if k not in masks.get(i, ())
+                         and isinstance(plan.premises[i][k], Var)]
+                kinds = {p.kind for p in (
+                    _join_plan(rule, i, families, masks, consts)
+                    for consts in _subsets(plain)) if p is not None}
+                for kind in sorted(kinds):
+                    dispatch.setdefault(kind, []).append(make)
     return dispatch, seeds
-
-
-def _reached_kinds(i: int, twins: list[int], premises: tuple) -> list[str]:
-    """The kinds of fact reached that a join from premise `i` takes: its
-    shape, and for gci_nested, whether the subject may be Top or not.
-    A twin or a Top pattern takes only Top; a nominal, or the subject
-    variable of a twin, takes anything but Top."""
-    pat = premises[i]
-    if pat[0] != "gci_nested":
-        return [pat[0]]
-    subject = TOPC if i in twins else pat[2]
-    if subject == TOPC:
-        return [_TOP_SUBJECT]
-    if isinstance(subject, Var) and subject not in {premises[j][2]
-                                                    for j in twins}:
-        return ["gci_nested", _TOP_SUBJECT]
-    return ["gci_nested"]
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +632,11 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
              fact_limit: int | None = None) -> FactStore:
     """Closure of `store` under all rules; returns a new store.
 
-    Implicit tautologies and Top-twins are not stored, except those that
-    are premises of stored facts (see the module docstring). With
-    `early_exit_on_refutation` the run may stop as soon as the refutation
-    fact appears (the result is then marked partial). Raises
+    Implicit tautologies and twins (facts with a stored generalization)
+    are not stored, except those that are premises of stored facts (see
+    the module docstring). With `early_exit_on_refutation` the run may
+    stop as soon as the refutation fact appears (the result is then
+    marked partial). Raises
     PreprocessError when an input fact names a term outside the store's
     universes, and FactLimitExceeded when more facts are stored than the
     polynomial bound or `fact_limit` allows.
@@ -491,9 +646,11 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     limit = bound if fact_limit is None else min(bound, fact_limit)
 
     # This run's interning tables, fixed by the universes: term <-> id,
-    # each kind's ids, and the maps between a nominal (self-loop) concept
-    # id and its individual (role) id. `*` and Top lead their ranges: they
-    # are the values an implicit premise takes where any value will do.
+    # each kind's ids, the maps between a nominal (self-loop) concept id
+    # and its individual (role) id, and the alternative keys a bound
+    # generalizable position is probed with. `*` and Top lead their
+    # ranges: they are the values an implicit premise takes where any
+    # value will do.
     term_ids = dict(_FIXED_IDS)
     ranges: dict = {}
     for kind in KINDS:
@@ -513,6 +670,10 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                                       "term outside the universes")
             maps[down][term_ids[c]] = inner
             maps[up][inner] = term_ids[c]
+    for name, kind, const in (("ALT_S", "standpoint", _STAR),
+                              ("ALT_C", "concept", _TOP)):
+        maps[name] = {t: (t, const) if t != const else (t,)
+                      for t in ranges[kind]}
 
     def intern_fact(fact: Fact) -> tuple:
         return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
@@ -521,6 +682,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     eng = FactStore(uni)
     add = eng.add
     fact_ids = eng.fact_ids
+    premise_only: set[int] = set()
 
     def check_limit() -> None:
         if len(fact_ids) > limit:
@@ -549,20 +711,34 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
             raise _Stop
 
     def derive(fact: tuple) -> None:
-        """Store an implicit tautology or Top-twin, unindexed, with its
-        canonical derivation; the walk skips it."""
-        rule_name, premises = _implicit_step(fact)
+        """Store an implicit fact with its canonical derivation, as a
+        premise only: the walk skips it."""
+        rule_name, premises = _implicit_step(fact, fact_ids)
         for p in premises:
             if p not in fact_ids:
                 derive(p)
-        add(fact, rule_name, tuple([fact_ids[p] for p in premises]),
-            indexed=False)
+        premise_only.add(len(eng.facts))
+        add(fact, rule_name, tuple([fact_ids[p] for p in premises]))
         check_limit()
+
+    # The run's index tables, by (shape, positions): the value at the one
+    # position, or the tuple of values at several (the empty tuple for
+    # none), to the facts the walk has reached and joined.
+    tables: dict[tuple, dict] = {}
+    tables_of: dict[str, list] = {}
+
+    def index(shape: str, positions: tuple[int, ...]) -> dict:
+        table = tables.get((shape, positions))
+        if table is None:
+            table = tables[shape, positions] = {}
+            key_of = itemgetter(*positions) if positions else _no_key
+            tables_of.setdefault(shape, []).append((key_of, table))
+        return table
 
     dispatch, seed_joins = _compile_all()
     if not (early_exit_on_refutation and refutation in fact_ids):
         # this run's instance of each compiled join
-        made = {make: make(eng.index, fact_ids, ranges, maps, emit, derive)
+        made = {make: make(index, fact_ids, ranges, maps, emit, derive)
                 for makers in (seed_joins, *dispatch.values())
                 for make in makers}
         joins = {kind: [made[make] for make in makers]
@@ -573,19 +749,29 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
             # The fact list is the worklist: the loop also reaches the
             # facts appended while it runs.
             for fid, fact in enumerate(eng.facts):
-                kind = fact[0]
-                if kind == "gci_nested":
-                    if fact[4] == fact[5] or fact[5] == _TOP:
-                        continue  # a tautology: matched implicitly
-                    if fact[2] == _TOP:
-                        kind = _TOP_SUBJECT
-                    elif fact[:2] + (_TOP,) + fact[3:] in fact_ids:
-                        continue  # its twin's joins cover it
-                for fn in joins.get(kind, ()):
+                if fid in premise_only:
+                    continue
+                shape = fact[0]
+                if shape == "gci_nested" and (fact[4] == fact[5]
+                                              or fact[5] == _TOP):
+                    continue  # a tautology: matched implicitly
+                spots = _GENERAL_IDS.get(shape, ())
+                general = tuple([k for k, c in spots if fact[k] == c])
+                if len(general) < len(spots) and any(
+                        g in fact_ids for g in _lifts(fact, spots)):
+                    continue  # a stored generalization's joins cover it
+                for key_of, table in tables_of.get(shape, ()):
+                    key = key_of(fact)
+                    bucket = table.get(key)
+                    if bucket is None:
+                        table[key] = [fact]
+                    else:
+                        bucket.append(fact)
+                for fn in joins.get((shape, general), ()):
                     fn(fact, fid)
         except _Stop:
             partial = True
-        del made, joins  # they hold the engine store's indexes
+        del made, joins, tables, tables_of  # the run's indexes
     else:
         partial = True
 

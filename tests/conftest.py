@@ -1,11 +1,14 @@
 """Shared fixtures: parsed example knowledge bases and expensive saturations."""
 
+import itertools
 import os
 
 import pytest
 
+from spel.model import UNIVERSAL
 from spel.parser import parse_kb
 from spel.preprocess import TOPC, prep
+from spel.rules import RULES
 from spel.saturation import saturate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -22,18 +25,32 @@ def fixture_kb(name):
     return kb
 
 
+#: per fact shape, the positions saturation leaves generalized, with the
+#: constant there and the universe it stands for: the outer standpoint of
+#: every shape S.3 lifts, and the subject and inner standpoint of a
+#: gci_nested fact
+GENERALIZABLE = {rule.premises[0][0]: {1: (UNIVERSAL, "standpoints")}
+                 for rule in RULES if rule.name.startswith("S.3:")}
+GENERALIZABLE["gci_nested"].update({2: (TOPC, "concepts"),
+                                    3: (UNIVERSAL, "standpoints")})
+
+
 def informative_closure(facts, universes):
     """The non-tautological facts a saturated fact set stands for: `facts`
-    with every Top-twin box_t[C sub box_s[D => E]] of each of its
-    box_t[Top sub box_s[D => E]] facts, C over the concept universe, and
-    without the tautologies (D = E or E = Top). Saturation leaves both kinds
-    implicit, so which of them a store holds depends on the order of its
-    input facts; this set does not."""
-    out = set(facts)
-    out.update(("gci_nested", t, c, s, d, e)
-               for _, t, top, s, d, e in
-               (f for f in facts if f[0] == "gci_nested")
-               if top == TOPC for c in universes.concepts)
+    with every copy of each of them at its generalizable positions, where
+    the fact holds the constant: a Top subject replaced by each concept of
+    the universe (Top-twins), and a `*` outer or inner standpoint by each
+    standpoint (`*`-twins, one position or both); and without the
+    tautologies (D = E or E = Top). Saturation leaves all these implicit,
+    so which of them a store holds depends on the order of its input
+    facts; this set does not."""
+    out = set()
+    for fact in facts:
+        spots = GENERALIZABLE.get(fact[0], {})
+        choices = [sorted(getattr(universes, spots[k][1]), key=repr)
+                   if k in spots and term == spots[k][0] else [term]
+                   for k, term in enumerate(fact)]
+        out.update(itertools.product(*choices))
     return {f for f in out
             if not (f[0] == "gci_nested" and (f[4] == f[5] or f[5] == TOPC))}
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import spel
 from spel import saturation
 from spel.cli import main
 from spel.normalize import normalize
@@ -143,3 +147,20 @@ def test_oracle_verdicts(capsys, tmp_path):
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_import_compiles_no_joins():
+    """Importing the command-line module compiles none of the saturation
+    joins: they are compiled on the first saturation, so the time to start
+    `spel` does not grow with their number."""
+    probe = ("import spel.cli\n"
+             "from spel import saturation\n"
+             "print(saturation._compile_all.cache_info().currsize)\n")
+    src = str(pathlib.Path(spel.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60,
+                         check=True)
+    assert out.stdout.strip() == "0"

@@ -151,20 +151,19 @@ def test_store_rejects_unknown_shape():
 
 def test_store_lookup_and_copy():
     store = FactStore(Universes())
-    store.add(("sharper", "H", "SN"))
+    assert store.add(("sharper", "H", "SN")) == 0
     store.add(("sharper", "L", "SN"))
     store.add(("sharper", "SN", UNIVERSAL))
-    assert sorted(store.index("sharper", (2,))["SN"]) == [
+    assert store.add(("sharper", "H", "SN")) is None
+    store.add(("sharper_intersection", "H", "L", "SN"))
+    assert store.by_shape["sharper"] == [
         ("sharper", "H", "SN"), ("sharper", "L", "SN"),
+        ("sharper", "SN", UNIVERSAL),
     ]
-    # the index is kept current; unindexed facts stay out of it
-    store.add(("sharper", "M", "SN"))
-    store.add(("sharper", "N", "SN"), indexed=False)
-    assert len(store.index("sharper", (2,))["SN"]) == 3
-    assert store.index("sharper", (1, 2))[("M", "SN")] == [
-        ("sharper", "M", "SN")]
-    assert len(store.index("sharper", ())[()]) == 4
-    assert ("sharper", "N", "SN") in store
+    assert store.fact_ids[("sharper", "L", "SN")] == 1
+    assert ("sharper", "SN", UNIVERSAL) in store
+    assert ("sharper", "SN", "H") not in store
     dup = store.copy()
     dup.add(("sharper", "H", UNIVERSAL))
-    assert len(store) == 5 and len(dup) == 6
+    assert len(store) == 4 and len(dup) == 5
+    assert len(store.by_shape["sharper"]) == 3

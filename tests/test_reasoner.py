@@ -28,6 +28,8 @@ from spel.reasoner import (
     entails,
 )
 
+from genkb import TINY_PARAMS, generate_kb
+
 
 def lit(ax, negated=False):
     return Literal(negated, ax)
@@ -155,11 +157,15 @@ MODAL_FILLER_CLASHES = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "normal-form rule (32) defines the fresh name of a modal filler under "
-    "the statement's standpoint, not under *, so the saturation misses "
-    "the clash"))
 @pytest.mark.parametrize("text", MODAL_FILLER_CLASHES,
                          ids=["dia-filler", "box-filler"])
 def test_statement_clashes_with_its_negated_diamond(text):
     assert check_sat(parse_kb(text)).verdict == UNSAT
+
+
+@pytest.mark.parametrize("seed", [27, 88])
+def test_tiny_kbs_with_a_modal_filler_clash_are_unsat(seed):
+    """Tiny KBs 27 and 88 have no model (the bounded oracle finds none);
+    each holds a statement with a modal filler whose negation clashes with
+    it only when the filler's fresh name holds in every precisification."""
+    assert check_sat(generate_kb(seed, TINY_PARAMS)).verdict == UNSAT

@@ -17,12 +17,14 @@ from spel.saturation import is_refuted, saturate
 from conftest import informative_closure
 from genkb import TINY_PARAMS, generate_kb
 
-#: tiny seeds in 0-99 with small closures, so that the naive fixpoint stays
-#: fast: 73, the smallest whose closure needs a C.1 premise matched through
-#: its Top-subject twin, and 20 whose closures hold at most 109
-#: non-tautological facts
+#: tiny seeds with small closures, so that the naive fixpoint stays fast:
+#: 73, the smallest whose closure needs a C.1 premise matched through its
+#: Top-subject twin; 20 in 0-99 whose closures hold at most 109
+#: non-tautological facts; and 48 and 184, the smallest in 0-199 after 20
+#: that name both standpoints and have witness standpoints, so that
+#: premises are matched through `*`-twins at several standpoints
 SMALL_SEEDS = (73, 2, 3, 14, 19, 20, 26, 28, 32, 42, 43, 49, 59, 62, 67,
-               69, 70, 72, 78, 85, 91)
+               69, 70, 72, 78, 85, 91, 48, 184)
 
 
 def _ground(term) -> bool:

@@ -277,16 +277,18 @@ def test_every_derivation_replays():
 
 
 def test_every_derivation_replays_with_twin_premises(merged_kb):
-    """Every provenance entry replays, including those of the Top-twins
-    that saturation stores only as premises, each derived by C.2 from a
-    tautology and its stored Top-subject twin."""
+    """Every provenance entry replays, including those of the implicit
+    facts that saturation stores only as premises: a Top-twin derived by
+    C.2 from a tautology and its stored Top-subject twin, and a `*`-twin
+    derived by S.3 or S.4 from its stored `*` copy and the T.1 seed
+    sharper(s, *)."""
     stores = [saturate(prep(merged_kb), early_exit_on_refutation=False)]
     stores += [saturate(prep(generate_kb(seed, TINY_PARAMS)),
                         early_exit_on_refutation=False)
                for seed in (1, 7, 18, 23, 31)]
     twin_steps = []
     for out in stores:
-        steps = 0
+        steps = {"C.2": 0, "S.3": 0, "S.4": 0}
         for fid, (rule, premise_ids) in enumerate(out.provenance):
             if rule == INPUT_RULE:
                 continue
@@ -294,23 +296,49 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
             premises = [out.facts[p] for p in premise_ids]
             assert fact in apply_rule(rule, premises, out.universes), \
                 f"fact {fid} fails replay under {rule}"
-            steps += (rule == "C.2" and fact[2] != TOPC and fact[5] != TOPC
-                      and fact[4] != fact[5]
-                      and premises[1] == fact[:2] + (TOPC,) + fact[3:])
+            if fact[0] == "gci_nested" and (fact[5] == TOPC
+                                            or fact[4] == fact[5]):
+                continue  # a tautology's derivation
+            steps["C.2"] += (rule == "C.2" and fact[2] != TOPC
+                             and premises[1] == fact[:2] + (TOPC,) + fact[3:])
+            # the compiled joins never lift a `*` fact by S.3 or S.4: the
+            # conclusion is implied
+            for k, name in ((1, "S.3"), (3, "S.4")):
+                steps[name] += (rule.split(":")[0] == name
+                                and fact[k] != UNIVERSAL and premises == [
+                                    fact[:k] + (UNIVERSAL,) + fact[k + 1:],
+                                    ("sharper", fact[k], UNIVERSAL)])
         twin_steps.append(steps)
-    assert all(twin_steps), twin_steps
+    assert all(steps["C.2"] for steps in twin_steps), twin_steps
+    assert sum(steps["S.3"] for steps in twin_steps), twin_steps
+    assert sum(steps["S.4"] for steps in twin_steps), twin_steps
 
 
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
-    """The walk over the fact list joins no premise-only fact. A
-    gci_nested fact whose Top-subject twin was stored before the walk
-    reached it is skipped, and so is every tautology (D = E or E = Top),
-    which saturation stores only as the premise of a stored fact. Each
-    join is wrapped; the twin check runs on the first join of each fact
-    reached, as it was reached, and the tautology check on every join."""
+    """The walk over the fact list joins no premise-only fact. A fact with
+    a stored strict generalization when the walk reached it is skipped: a
+    gci_nested fact whose Top-subject twin or `*` copy (at the outer
+    standpoint, the inner one or both, with or without a Top subject) is
+    stored, or a fact of another shape S.3 lifts whose `*` copy is. So is
+    every tautology (D = E or E = Top), which saturation stores only as
+    the premise of a stored fact. Each join is wrapped; the generalization
+    check runs on the first join of each fact reached, as it was reached,
+    and the tautology check on every join."""
     dispatch, seed_joins = saturation._compile_all()
-    top = saturation._TOP
+    top, star = saturation._TOP, saturation._STAR
     wrapped, first_calls, late, tautologies = {}, set(), [], []
+
+    def generalizations(fact):
+        spots = {"gci_nested": ((1, star), (2, top), (3, star)),
+                 "sharper": (), "sharper_intersection": ()}.get(
+                     fact[0], ((1, star),))
+        for n in range(1, 1 << len(spots)):
+            lifted = list(fact)
+            for bit, (k, c) in enumerate(spots):
+                if n >> bit & 1:
+                    lifted[k] = c
+            if tuple(lifted) != fact:
+                yield tuple(lifted)
 
     def watch(make):
         def watched_make(index, fact_ids, ranges, maps, emit, derive):
@@ -319,8 +347,7 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
             def watched(fact, fid):
                 if fact is not None and fid not in first_calls:
                     first_calls.add(fid)
-                    if (fact[0] == "gci_nested" and fact[2] != top
-                            and fact[:2] + (top,) + fact[3:] in fact_ids):
+                    if any(g in fact_ids for g in generalizations(fact)):
                         late.append(fact)
                 if (fact is not None and fact[0] == "gci_nested"
                         and (fact[4] == fact[5] or fact[5] == top)):
@@ -336,8 +363,13 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     assert not is_refuted(out) and first_calls
     assert late == []
     assert tautologies == []
-    # the run stores premise-only tautologies, so the walk did reach some
+    # the run stores premise-only tautologies and `*`-twins, so the walk
+    # did reach some
     assert any(f[0] == "gci_nested" and (f[4] == f[5] or f[5] == TOPC)
+               for f in out.facts)
+    assert any(f[0] == "gci_nested" and f[5] != TOPC and f[4] != f[5]
+               and f[1] != UNIVERSAL
+               and f[:1] + (UNIVERSAL,) + f[2:] in out.fact_ids
                for f in out.facts)
 
 
