@@ -37,17 +37,20 @@ firings. Instead:
   premises' lookups or to its universe (individuals, for a nominal). A
   fact reached that holds the constant at a generalizable position runs
   the variants that bind the position from it and those that leave it
-  open. A variable that a later premise binds to the constant there
-  stops the variant: the one that binds the position from the fact
-  covers it;
+  open. A variable left open that a later premise binds to the constant
+  stops the variant: the variant that takes the position from the fact
+  covers that case;
 - a fact with a stored generalization when the walk reaches it is not
   joined: the generalization's joins cover every combination it would
   make. Facts stored before their generalization arrived stay in the
   store;
 - join variants that can only conclude a tautology, one of their own
   stored premises or a generalization of one, are dropped when the
-  rules are compiled, and so are a probe or a variant whose lifted
-  variable reappears only at generalizable positions of the conclusion;
+  rules are compiled; so are the probes whose matches would imply the
+  conclusion, and the variants that leave open a variable that
+  reappears only at generalizable positions of the conclusion (with
+  that variable set to the constant, a variant concludes a
+  generalization of each of their conclusions);
 - an implicit fact that is a premise of a stored conclusion is stored
   too, as a premise only, with its derivation (`_implicit_step`): a
   twin by C.2 from its Top-subject copy, or by S.3:<shape> or S.4 from
