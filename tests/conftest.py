@@ -26,30 +26,41 @@ def fixture_kb(name):
 
 
 #: per fact shape, the positions saturation leaves generalized, with the
-#: constant there and the universe it stands for: the outer standpoint of
-#: every shape S.3 lifts, and the subject and inner standpoint of a
-#: gci_nested fact
-GENERALIZABLE = {rule.premises[0][0]: {1: (UNIVERSAL, "standpoints")}
+#: top there: the outer standpoint of every shape S.3 lifts, and the
+#: subject and inner standpoint of a gci_nested fact
+GENERALIZABLE = {rule.premises[0][0]: {1: UNIVERSAL}
                  for rule in RULES if rule.name.startswith("S.3:")}
-GENERALIZABLE["gci_nested"].update({2: (TOPC, "concepts"),
-                                    3: (UNIVERSAL, "standpoints")})
+GENERALIZABLE["gci_nested"].update({2: TOPC, 3: UNIVERSAL})
 
 
 def informative_closure(facts, universes):
     """The non-tautological facts a saturated fact set stands for: `facts`
     with every copy of each of them at its generalizable positions, where
-    the fact holds the constant: a Top subject replaced by each concept of
-    the universe (Top-twins), and a `*` outer or inner standpoint by each
-    standpoint (`*`-twins, one position or both); and without the
-    tautologies (D = E or E = Top). Saturation leaves all these implicit,
-    so which of them a store holds depends on the order of its input
-    facts; this set does not."""
+    it holds a term with others below it: a Top subject replaced by each
+    concept of the universe (Top-twins), and an outer or inner standpoint
+    u by each standpoint s with sharper(s, u) among `facts` (sharpening
+    twins, one position or both; every standpoint for `*`); and without
+    the tautologies (D = E or E = Top). Saturation leaves all these
+    implicit, so which of them a store holds depends on the order of its
+    input facts; this set does not. The sharper facts of a saturated set
+    are never implicit, so they give the whole order."""
+    below = {}
+    for fact in facts:
+        if fact[0] == "sharper":
+            below.setdefault(fact[2], set()).add(fact[1])
+    concepts = sorted(universes.concepts, key=repr)
     out = set()
     for fact in facts:
         spots = GENERALIZABLE.get(fact[0], {})
-        choices = [sorted(getattr(universes, spots[k][1]), key=repr)
-                   if k in spots and term == spots[k][0] else [term]
-                   for k, term in enumerate(fact)]
+        choices = []
+        for k, term in enumerate(fact):
+            if spots.get(k) == UNIVERSAL:
+                choices.append(sorted(below.get(term, set()) | {term},
+                                      key=repr))
+            elif spots.get(k) == term == TOPC:
+                choices.append(concepts)
+            else:
+                choices.append([term])
         out.update(itertools.product(*choices))
     return {f for f in out
             if not (f[0] == "gci_nested" and (f[4] == f[5] or f[5] == TOPC))}

@@ -149,18 +149,43 @@ def test_usage_error_on_unknown_command(capsys):
     capsys.readouterr()
 
 
-def test_import_compiles_no_joins():
-    """Importing the command-line module compiles none of the saturation
-    joins: they are compiled on the first saturation, so the time to start
-    `spel` does not grow with their number."""
-    probe = ("import spel.cli\n"
-             "from spel import saturation\n"
-             "print(saturation._compile_all.cache_info().currsize)\n")
+def _python(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this checkout of
+    `spel`; its stdout."""
     src = str(pathlib.Path(spel.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=60,
-                         check=True)
-    assert out.stdout.strip() == "0"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout
+
+
+def test_import_compiles_no_joins():
+    """Importing the command-line module plans and compiles none of the
+    saturation joins: they are made on the first saturation that needs
+    them, so the time to start `spel` does not grow with their number."""
+    probe = ("import spel.cli\n"
+             "from spel import saturation\n"
+             "print(saturation._dispatch.cache_info().currsize,\n"
+             "      saturation._compile_join.cache_info().currsize)\n")
+    assert _python(probe).split() == ["0", "0"]
+
+
+def test_role_free_saturation_compiles_part_of_the_joins():
+    """A saturation compiles the joins of the kinds of fact it reaches,
+    when it first reaches one: a KB without roles, role assertions or
+    diamonds never needs the joins from role or diamond facts."""
+    probe = ("from spel import saturation\n"
+             "from spel.parser import parse_kb\n"
+             "from spel.preprocess import FACT_SHAPES, prep\n"
+             "kb = parse_kb('standpoint S; concept A; concept B;'\n"
+             "              'S <= *; box S { A sub B; }')\n"
+             "saturation.saturate(prep(kb))\n"
+             "used = saturation._compile_join.cache_info().currsize\n"
+             "made = {m for shape in FACT_SHAPES\n"
+             "        for kind in saturation._dispatch(shape)\n"
+             "        for m in saturation._joins(kind)}\n"
+             "print(used, len(made | set(saturation._joins(None))))\n")
+    used, total = map(int, _python(probe).split())
+    assert 0 < used < total

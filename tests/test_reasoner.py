@@ -169,3 +169,30 @@ def test_tiny_kbs_with_a_modal_filler_clash_are_unsat(seed):
     each holds a statement with a modal filler whose negation clashes with
     it only when the filler's fresh name holds in every precisification."""
     assert check_sat(generate_kb(seed, TINY_PARAMS)).verdict == UNSAT
+
+
+#: (seed, statement index) pairs whose self-entailment raises: the
+#: diamond-monomial search normalizes the already normalized KB again,
+#: and the second normalization's fresh names collide with the first's
+#: (fault (a); see ROADMAP.md)
+FRESH_NAME_CLASHES = {(16, 0), (16, 2), (24, 1), (53, 0)}
+#: tiny seeds 0-59, but for the three whose self-entailment takes 0.5 s or
+#: more (4, 12 and 40), to keep this suite short
+SELF_SEEDS = [seed for seed in range(60) if seed not in (4, 12, 40)]
+
+
+def _self_cases():
+    for seed in SELF_SEEDS:
+        for n in range(len(generate_kb(seed, TINY_PARAMS).statements)):
+            marks = [pytest.mark.xfail(strict=True, raises=ValueError)
+                     ] if (seed, n) in FRESH_NAME_CLASHES else []
+            yield pytest.param(seed, n, id=f"{seed}-{n}", marks=marks)
+
+
+@pytest.mark.parametrize("seed, n", _self_cases())
+def test_tiny_kb_entails_its_own_statements(seed, n):
+    """A KB entails each of its statements: a satisfiable one by the
+    reduction's soundness and completeness, an unsatisfiable one
+    vacuously."""
+    kb = generate_kb(seed, TINY_PARAMS)
+    assert entails(kb, kb.statements[n]).verdict == ENTAILED

@@ -10,6 +10,7 @@ a fact of that shape that agrees with it on the bound positions is kept
 when `apply_rule` accepts the longer prefix.
 """
 
+from spel.parser import parse_kb
 from spel.preprocess import REFUTATION_FACT, prep
 from spel.rules import RULES, Rule, Var, apply_rule
 from spel.saturation import is_refuted, saturate
@@ -22,9 +23,12 @@ from genkb import TINY_PARAMS, generate_kb
 #: Top-subject twin; 20 in 0-99 whose closures hold at most 109
 #: non-tautological facts; and 48 and 184, the smallest in 0-199 after 20
 #: that name both standpoints and have witness standpoints, so that
-#: premises are matched through `*`-twins at several standpoints
+#: premises are matched through `*`-twins at several standpoints; and 104
+#: and 108, whose seed sharpening orders put a fresh standpoint below S0
+#: (so below S0 and `*`), so that premises are matched through their
+#: copies at a named standpoint above their own
 SMALL_SEEDS = (73, 2, 3, 14, 19, 20, 26, 28, 32, 42, 43, 49, 59, 62, 67,
-               69, 70, 72, 78, 85, 91, 48, 184)
+               69, 70, 72, 78, 85, 91, 48, 184, 104, 108)
 
 
 def _ground(term) -> bool:
@@ -80,9 +84,35 @@ def reference_fixpoint(store) -> set:
         facts |= new
 
 
+#: hand-made KBs for the seed sharpening order. In "E.2" and "A.5" the
+#: last input fact, a chain inclusion at SN, joins a premise at SN and one
+#: at H <= SN: the join finds the first through a lookup that leaves its
+#: standpoint open and tries each standpoint with another below it. In
+#: "cycle" A and B sharpen each other and both hold C sub D: neither may
+#: stand for the other, or the walk would skip both. In "meet" M lies
+#: below H and L, which are unordered, so only `*` stands above M: a
+#: chain inclusion at `*` joins the copies at M of an H fact and an L
+#: fact, and no one join variant could match both through H and L.
+ORDER_KBS = {
+    "E.2": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
+           "concept E; box SN { C sub ex R . D; } box H { D sub ex R . E; } "
+           "box SN { R o R sub Q; }",
+    "A.5": "standpoint H; standpoint SN; H <= SN; individual a; "
+           "individual b; individual c; box SN { R(a, b); } "
+           "box H { R(b, c); } box SN { R o R sub Q; }",
+    "cycle": "standpoint A; standpoint B; concept C; concept D; concept E; "
+             "A <= B; B <= A; box A { C sub D; } box B { C sub D; } "
+             "box B { D sub E; }",
+    "meet": "standpoint H; standpoint L; standpoint M; concept C; "
+            "concept D; M <= H; M <= L; box H { C sub ex R . D; } "
+            "box L { D sub ex R . C; } box * { R o R sub Q; }",
+}
+
+
 def test_engine_matches_reference_fixpoint():
-    for seed in SMALL_SEEDS:
-        store = prep(generate_kb(seed, TINY_PARAMS))
+    stores = [prep(generate_kb(seed, TINY_PARAMS)) for seed in SMALL_SEEDS]
+    stores += [prep(parse_kb(text)) for text in ORDER_KBS.values()]
+    for seed, store in zip(SMALL_SEEDS + tuple(ORDER_KBS), stores):
         engine = saturate(store, early_exit_on_refutation=False)
         reference = reference_fixpoint(store)
         assert is_refuted(engine) == (REFUTATION_FACT in reference), \

@@ -229,10 +229,14 @@ def test_fact_limit_exceeded(example1_kb, monkeypatch):
     assert str(breach.value).endswith("the polynomial fact bound 100")
 
 
-def test_threaded_runs_match_sequential():
-    """Each run interns its terms in tables of its own, so saturations
-    going on side by side give the stores of a sequential run."""
+def test_threaded_runs_match_sequential(example1_kb):
+    """Each run interns its terms, and keeps its seed sharpening order, in
+    tables of its own, so saturations going on side by side give the
+    stores of a sequential run. The KBs' orders differ: example1 has
+    H, L <= SN, tiny KB 8 the chain _g17_0000 <= S1 <= S0, and the others
+    at most one named standpoint below another."""
     stores = [prep(generate_kb(seed, TINY_PARAMS)) for seed in range(1, 9)]
+    stores += [prep(example1_kb)]
     expected = [saturate(s, early_exit_on_refutation=False) for s in stores]
     results: dict = {}
     start = threading.Barrier(2)
@@ -243,8 +247,9 @@ def test_threaded_runs_match_sequential():
             results[k, order[0]] = saturate(stores[k],
                                             early_exit_on_refutation=False)
 
+    n = len(stores)
     threads = [threading.Thread(target=work, args=(order,))
-               for order in (range(8), range(7, -1, -1))]
+               for order in (range(n), range(n - 1, -1, -1))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)  # switch threads often, inside the joins
     try:
@@ -255,7 +260,7 @@ def test_threaded_runs_match_sequential():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 16
+    assert len(results) == 2 * n
     for (k, _), out in results.items():
         assert out.facts == expected[k].facts
         assert out.provenance == expected[k].provenance
@@ -276,19 +281,40 @@ def test_every_derivation_replays():
         assert out.facts[fid] in conclusions, f"fact {fid} fails replay under {rule}"
 
 
+def seed_order(store):
+    """Per standpoint, those at or above it in the reflexive-transitive
+    closure of the input sharper facts of a saturated store, and `*`."""
+    edges = {}
+    for fid, fact in enumerate(store.facts):
+        if fact[0] == "sharper" and store.provenance[fid][0] == INPUT_RULE:
+            edges.setdefault(fact[1], set()).add(fact[2])
+    up = {}
+    for s in store.universes.standpoints:
+        seen, stack = {s, UNIVERSAL}, [s]
+        while stack:
+            for u in edges.get(stack.pop(), ()):
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        up[s] = seen
+    return up
+
+
 def test_every_derivation_replays_with_twin_premises(merged_kb):
     """Every provenance entry replays, including those of the implicit
     facts that saturation stores only as premises: a Top-twin derived by
-    C.2 from a tautology and its stored Top-subject twin, and a `*`-twin
-    derived by S.3 or S.4 from its stored `*` copy and the T.1 seed
-    sharper(s, *)."""
+    C.2 from a tautology and its stored Top-subject twin, and a sharpening
+    twin derived by S.3 or S.4 from its stored copy at a standpoint u
+    above its own in the seed order and sharper(s, u): the T.1 seed for u
+    = `*`, an input fact or an S.1 chain of them for a named u."""
     stores = [saturate(prep(merged_kb), early_exit_on_refutation=False)]
     stores += [saturate(prep(generate_kb(seed, TINY_PARAMS)),
                         early_exit_on_refutation=False)
                for seed in (1, 7, 18, 23, 31)]
     twin_steps = []
     for out in stores:
-        steps = {"C.2": 0, "S.3": 0, "S.4": 0}
+        up = seed_order(out)
+        steps = {"C.2": 0, "S.3": 0, "S.4": 0, "named": 0}
         for fid, (rule, premise_ids) in enumerate(out.provenance):
             if rule == INPUT_RULE:
                 continue
@@ -301,53 +327,62 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
                 continue  # a tautology's derivation
             steps["C.2"] += (rule == "C.2" and fact[2] != TOPC
                              and premises[1] == fact[:2] + (TOPC,) + fact[3:])
-            # the compiled joins never lift a `*` fact by S.3 or S.4: the
-            # conclusion is implied
+            # the compiled joins never lift a fact along the seed order by
+            # S.3 or S.4: the conclusion is implied
             for k, name in ((1, "S.3"), (3, "S.4")):
-                steps[name] += (rule.split(":")[0] == name
-                                and fact[k] != UNIVERSAL and premises == [
-                                    fact[:k] + (UNIVERSAL,) + fact[k + 1:],
-                                    ("sharper", fact[k], UNIVERSAL)])
+                if rule.split(":")[0] != name:
+                    continue
+                u = premises[1][2]
+                if (u in up[fact[k]]
+                        and u != fact[k] and premises == [
+                            fact[:k] + (u,) + fact[k + 1:],
+                            ("sharper", fact[k], u)]):
+                    steps[name] += 1
+                    steps["named"] += u != UNIVERSAL
         twin_steps.append(steps)
     assert all(steps["C.2"] for steps in twin_steps), twin_steps
     assert sum(steps["S.3"] for steps in twin_steps), twin_steps
     assert sum(steps["S.4"] for steps in twin_steps), twin_steps
+    assert sum(steps["named"] for steps in twin_steps), twin_steps
 
 
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     """The walk over the fact list joins no premise-only fact. A fact with
     a stored strict generalization when the walk reached it is skipped: a
-    gci_nested fact whose Top-subject twin or `*` copy (at the outer
-    standpoint, the inner one or both, with or without a Top subject) is
-    stored, or a fact of another shape S.3 lifts whose `*` copy is. So is
-    every tautology (D = E or E = Top), which saturation stores only as
-    the premise of a stored fact. Each join is wrapped; the generalization
-    check runs on the first join of each fact reached, as it was reached,
-    and the tautology check on every join."""
-    dispatch, seed_joins = saturation._compile_all()
-    top, star = saturation._TOP, saturation._STAR
-    wrapped, first_calls, late, tautologies = {}, set(), [], []
+    gci_nested fact whose copy with a Top subject, or with a standpoint
+    above its own in the run's seed sharpening order (at the outer
+    standpoint, the inner one or both, with or without a Top subject), is
+    stored, or a fact of another shape S.3 lifts whose copy at a standpoint
+    above is. So is every tautology (D = E or E = Top), which saturation
+    stores only as the premise of a stored fact. Each join is wrapped; the
+    generalization check runs on the first join of each fact reached, as
+    it was reached, over the up-sets the run gives its joins, and the
+    tautology check on every join."""
+    joins = saturation._joins
+    top = saturation._TOP
+    wrapped, first_calls, late, tautologies, lifts = {}, set(), [], [], []
 
-    def generalizations(fact):
-        spots = {"gci_nested": ((1, star), (2, top), (3, star)),
+    def generalizations(fact, up):
+        spots = {"gci_nested": ((1, None), (2, top), (3, None)),
                  "sharper": (), "sharper_intersection": ()}.get(
-                     fact[0], ((1, star),))
-        for n in range(1, 1 << len(spots)):
-            lifted = list(fact)
-            for bit, (k, c) in enumerate(spots):
-                if n >> bit & 1:
-                    lifted[k] = c
-            if tuple(lifted) != fact:
-                yield tuple(lifted)
+                     fact[0], ((1, None),))
+        choices = [[term] for term in fact]
+        for k, const in spots:
+            choices[k] = list(up[fact[k]]) if const is None else [
+                fact[k], const]
+        return [g for g in itertools.product(*choices) if g != fact]
 
     def watch(make):
         def watched_make(index, fact_ids, ranges, maps, emit, derive):
             fn = make(index, fact_ids, ranges, maps, emit, derive)
+            up = maps["ALT_S"]
 
             def watched(fact, fid):
                 if fact is not None and fid not in first_calls:
                     first_calls.add(fid)
-                    if any(g in fact_ids for g in generalizations(fact)):
+                    lifts.append(len(generalizations(fact, up)))
+                    if any(g in fact_ids
+                           for g in generalizations(fact, up)):
                         late.append(fact)
                 if (fact is not None and fact[0] == "gci_nested"
                         and (fact[4] == fact[5] or fact[5] == top)):
@@ -356,20 +391,27 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
             return watched
         return wrapped.setdefault(make, watched_make)
 
-    monkeypatch.setattr(saturation, "_compile_all", lambda: (
-        {kind: [watch(m) for m in makers] for kind, makers in dispatch.items()},
-        [watch(m) for m in seed_joins]))
+    monkeypatch.setattr(saturation, "_joins", lambda kind: tuple(
+        watch(make) for make in joins(kind)))
     out = saturate(prep(example1_kb), early_exit_on_refutation=False)
     assert not is_refuted(out) and first_calls
     assert late == []
     assert tautologies == []
-    # the run stores premise-only tautologies and `*`-twins, so the walk
-    # did reach some
+    # some fact reached has a generalization at a named standpoint: more
+    # than the Top-subject and `*` copies (at most 7)
+    assert max(lifts) > 7
+    # the run stores premise-only tautologies, `*`-twins and twins below a
+    # named standpoint, so the walk did reach some
+    up = seed_order(out)
     assert any(f[0] == "gci_nested" and (f[4] == f[5] or f[5] == TOPC)
                for f in out.facts)
     assert any(f[0] == "gci_nested" and f[5] != TOPC and f[4] != f[5]
                and f[1] != UNIVERSAL
                and f[:1] + (UNIVERSAL,) + f[2:] in out.fact_ids
+               for f in out.facts)
+    assert any(f[0] == "gci_nested" and f[5] != TOPC and f[4] != f[5]
+               and any(f[:1] + (u,) + f[2:] in out.fact_ids
+                       for u in up[f[1]] - {f[1], UNIVERSAL})
                for f in out.facts)
 
 
