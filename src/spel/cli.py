@@ -4,11 +4,13 @@ Subcommands: check, entail, normalize, saturate, export-datalog, oracle.
 `check` stops saturating at the first refutation (`--trace` prints its
 derivation); `saturate` prints the full closure. Every subcommand takes
 `--format json` for one JSON payload in place of its text lines.
-Exit codes: 0 command completed (verdict in output), 1 usage error,
-2 parse error, 3 a saturation stored more facts than allowed: either
-more than the environment variable SPEL_FACT_LIMIT allows (a cap for
-check/entail/saturate), or more than the polynomial fact bound, which is
-an internal invariant violation. The message on stderr says which.
+Exit codes: 0 command completed (verdict in output), 1 usage error
+(among them a SPEL_FACT_LIMIT, --max-domain or --max-prec that is not a
+positive integer), 2 parse error, 3 a saturation stored more facts than
+allowed: either more than the environment variable SPEL_FACT_LIMIT allows
+(a cap for check/entail/saturate), or more than the polynomial fact
+bound, which is an internal invariant violation. The message on stderr
+says which.
 """
 
 from __future__ import annotations
@@ -53,14 +55,20 @@ def _load_kb(path: str) -> KnowledgeBase:
     return result
 
 
+def _positive(name: str, value: str | int) -> int:
+    """`value` as a positive integer, or a usage error naming `name`."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise _Usage(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
 def _fact_limit() -> int | None:
     env = os.environ.get("SPEL_FACT_LIMIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _Usage(f"SPEL_FACT_LIMIT must be an integer, got {env!r}")
-    return None
+    return None if env is None else _positive("SPEL_FACT_LIMIT", env)
 
 
 # Each command returns its verdict, fact count, JSON details and text lines.
@@ -131,8 +139,9 @@ def _cmd_export_datalog(args):
 
 
 def _cmd_oracle(args):
-    found = oracle_mod.find_model(_load_kb(args.file), args.max_domain,
-                                  args.max_prec)
+    bounds = (_positive("--max-domain", args.max_domain),
+              _positive("--max-prec", args.max_prec))
+    found = oracle_mod.find_model(_load_kb(args.file), *bounds)
     if found is oracle_mod.NONE_WITHIN_BOUNDS:
         return "NONE_WITHIN_BOUNDS", None, {}, ["NoneWithinBounds"]
     if found is oracle_mod.INCONCLUSIVE:

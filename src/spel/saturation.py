@@ -2,112 +2,66 @@
 
 The engine seeds the premise-free schema instances over the registered
 universes, then walks its fact list in id order: the list is the
-worklist, and new conclusions are appended to it with provenance. Each
-fact the walk reaches is tried in every premise position it can fill, and
-the remaining premises are joined through hash indexes of the facts
-reached so far, so every premise combination is produced when its newest
-member is reached.
+worklist, and conclusions are appended to it with provenance. Each fact
+reached is tried in every premise position it can fill, and the other
+premises are joined through hash indexes of the facts reached so far, so
+every premise combination is produced when its newest member is reached.
 
-Two kinds of fact are implicit:
+Two kinds of fact are implicit, neither stored nor joined:
 - tautologies, the gci_nested facts box_t[C sub box_s[D => E]] with D = E
-  or E = Top: they hold in every structure, and the calculus derives
-  every one over the universes;
-- twins: a fact with a stored strict generalization over its
-  generalizable positions (`_GENERAL`), which are the subject of a
-  gci_nested fact, generalized to Top; the outer standpoint of every
-  shape S.3 lifts; and the inner standpoint of a gci_nested fact. A
-  standpoint generalizes to those above it in the run's seed sharpening
-  order (`_seed_order`): the reflexive-transitive closure of its input
-  sharper facts and the T.1 seeds sharper(s, *), kept before the walk as
-  maps of up-sets, with `*` on top. The generalization implies
-  the fact: by C.2 over the tautology box_*[Top sub box_t[C => Top]] for
-  the subject, and by S.3 or S.4 with sharper(s, u) for a standpoint s
-  below u. So with H <= SN, box_H[C sub box_H[D => E]] is implicit when
-  box_SN[Top sub box_*[D => E]] is stored. Sharpenings that S.2 derives
-  during the walk are not in the seed order: their S.3 and S.4 copies are
-  stored.
-Storing them would make up most of a saturated store and most rule
-firings. Instead:
-- a conclusion that is a tautology, or has a stored generalization, is
-  not stored, and the premise-free rules that only give tautologies
-  (T.3, T.4) are not instantiated;
-- each join over a gci_nested premise also matches the tautologies
-  consistent with its bound positions, as if they were older than every
-  stored fact; joins whose premises are all tautologies run once, before
-  the walk;
-- each join also matches a premise through its stored generalizations:
-  where another premise binds a generalizable position, the lookup also
-  probes the terms above it (Top, or the standpoint's up-set); where none
-  does, a join variant looks up a fact holding Top there, or a standpoint
-  w with some below it, and leaves the position open: its variable is
-  bound by a later premise's lookup, which must give a concept other
-  than Top (a standpoint strictly below w), or ranges over its universe
-  (individuals, for a nominal). A fact reached runs the variants that
-  bind each generalizable position from it, and, where it holds Top or
-  such a w, those that leave the position open;
-- a fact with a stored generalization when the walk reaches it is not
-  joined: the generalization's joins cover every combination it would
-  make. Facts stored before their generalization arrived stay in the
-  store;
-- join variants that can only conclude a tautology, one of their own
-  stored premises or a generalization of one, are dropped when the
-  rules are compiled; so are the probes whose matches would imply the
-  conclusion (an S.3 or S.4 join from sharper(s, u) does not probe
-  above u: under a seed sharpening that copy implies the conclusion, and
-  from one S.2 derives, S.1 gives sharper(s, u') for the stored copy at
-  u'), and the variants that leave open a variable that
-  reappears only at generalizable positions of the conclusion (the
-  variant binding that variable from the fact concludes a
-  generalization of each of their conclusions: this needs the up-sets
-  to be chains, so a standpoint below two unordered ones generalizes to
-  `*` only). A stored premise that is the conclusion with standpoints
-  above its own (S.3, S.4 along the seed order) stops the join at run
-  time;
-- an implicit fact that is a premise of a stored conclusion is stored
-  too, as a premise only, with its derivation (`_implicit_step`): a
-  twin by C.2 from its Top-subject copy, or by S.3:<shape> or S.4 from
-  its copy at a standpoint u above its own and sharper(s, u), one
-  position at a time until a stored generalization is reached; a
-  tautology at most four steps from the T rules. A sharper(s, u) that
-  is not stored yet is stored first, by S.1 along input sharper facts,
-  and walked like any other fact. So every provenance entry names stored
-  ids and replays through `apply_rule`. The walk skips a premise-only
-  fact when it reaches it.
-D = Bot facts stay explicit: the calculus has no schema for them, and
-matching them implicitly would add Bot-subject copies of most facts.
+  or E = Top, which the calculus derives over the whole universes;
+- twins, the facts with a stored strict generalization at their
+  generalizable positions (`_GENERAL`): a gci_nested subject generalizes
+  to Top (by C.2), and the outer standpoint of every shape S.3 lifts and
+  the inner standpoint of a gci_nested fact to the standpoints above them
+  in the run's seed sharpening order (by S.3 and S.4): the closure of its
+  input sharper facts and T.1, `*` on top, whose up-sets are chains
+  (`_seed_order`). Sharpenings that S.2 derives mid-walk are not in it.
+A join matches them instead. It generates a tautology premise from its
+bound variables (a join of tautologies only runs once, before the walk).
+A planned variant matches a premise with an unbound subject through a
+stored fact with a Top subject, and binds the subject later or ranges it
+over the universe. The compiled lookups match the rest at run time:
+- a bound subject is probed with itself and Top;
+- a standpoint variable first bound at an open position (generalizable,
+  where the premise with the top is no generalization of the conclusion)
+  is a ceiling: its value w stands for every s <= w. A later open
+  position accepts a standpoint comparable with w and goes on with the
+  lower one, the greatest common lower bound of the two as up-sets are
+  chains; a later position that is not open accepts an s <= w, which the
+  variable holds from then on. The conclusion takes the value reached.
+  Tables are keyed without ceilings, and their candidates are filtered;
+- a variable first bound elsewhere accepts its up-set at a later open
+  position.
+Positions that are not open need no generalization: an S.3 or S.4 join
+from sharper(s, u) does not look above u, as a seed sharpening gives the
+conclusion from that copy itself and S.1 gives sharper(s, u') for a copy
+at u' from one S.2 derives; and a join from a fact holding the top there
+stops. A conclusion that is a tautology or has a stored generalization is
+dropped, and so is a variant that can only conclude one.
 
-Two mechanical speedups, invisible in the results:
-- every (rule, premise position, implicit, lifted and probed premises)
-  variant is planned and compiled once per process, on first use, into
-  a closure of plain loops and tuple accesses, and runs only on the
-  facts reached that it can match: by shape, by which generalizable
-  positions hold the top, and by which standpoint positions hold a
-  standpoint with another below it (the fact's kind). A run makes its
-  instances of a kind's joins when it first reaches a fact of that kind,
-  so a run compiles only the joins its kinds need. The declarative table
-  in `rules` stays the single source of truth, and the variants are
-  planned with its pattern operations (`unify`, `resolve`,
-  `pattern_vars`), the ones trace replay uses when it re-checks every
-  derivation through `apply_rule`;
-- each run interns the terms of its universes (standpoints, roles,
-  individuals, extended concepts) to integers, once, in tables of its own,
-  with maps linking nominals and self-loop concepts to their
-  individual/role and the maps of its seed order, and joins over a
-  `FactStore` of interned facts through index tables of its own: a fact
-  enters them when the walk reaches and joins it, so they hold no fact
-  newer than the one reached (a table a join first asks for mid-walk
-  starts with the facts of its shape reached so far), and a lookup whose
-  every position is bound is a membership test on the store. At the end
-  the run decodes its store once into a readable `FactStore`. Only `*`,
-  Top and Bot, the constants the compiled joins hold, have fixed ids, so
-  runs share no mutable state and may go on side by side in threads.
+A premise that is implicit is stored when a conclusion is, as a premise
+only that the walk skips, with its derivation (`_implicit_step`): a twin
+by C.2 from its Top-subject copy, or by S.3:<shape> or S.4 from its copy
+at u above its own and sharper(s, u), until a stored generalization is
+reached; a tautology at most four steps from the T rules; a missing
+sharper(s, u) by S.1 along input sharper facts. So every provenance entry
+names stored ids and replays through `apply_rule`. D = Bot facts stay
+explicit: the calculus has no schema for them.
 
-The fact space is fixed by the universes: `preprocess.FACT_SHAPES` gives
-the universe of every position of every shape, and an input fact naming a
-term outside them is an error. So the run is bounded by an explicit
-polynomial, the size of that space; exceeding it signals an engine bug
-rather than a big input. A caller may set a lower limit. Both count
-stored facts only, and the error says which one tripped.
+Each variant is planned with the pattern operations of `rules` and
+compiled, once per process and on first use, into a closure of plain
+loops and tuple accesses, which runs on the facts reached of its kind:
+their shape and, for gci_nested, whether the subject is Top. Each run
+interns its universes' terms to integers in tables of its own (only `*`,
+Top and Bot, which the compiled joins hold, have fixed ids), so runs share
+no mutable state and may go on side by side in threads; it decodes its
+store once at the end.
+
+The universes fix the fact space (`preprocess.FACT_SHAPES`), and an input
+fact naming a term outside them is an error. So a run is bounded by the
+size of that space, which only an engine bug can exceed; a caller may set
+a lower limit. Both count stored facts, and the error says which tripped.
 """
 
 from __future__ import annotations
@@ -169,11 +123,8 @@ _TOP = _FIXED_IDS[TOPC]
 #: to its individual/role id and back, as the compiled joins name them
 _NESTED_MAPS = {"nom": ("NOM2IND", "IND2NOM"),
                 "self": ("SELF2ROLE", "ROLE2SELF")}
-
-
-def _no_key(fact: tuple) -> tuple:
-    """The key of a fact in an index table by no position."""
-    return ()
+#: the names of all the maps a run hands its compiled joins
+_MAPS = ("UP", "MEET", "ALT_C", "GENERAL") + sum(_NESTED_MAPS.values(), ())
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +147,9 @@ _TAUTOLOGY_FAMILIES = {
 }
 
 #: Per fact shape, its generalizable positions with the top each
-#: generalizes to, in the order `_implicit_step` lifts them: the subject of
-#: a gci_nested fact (Top, by C.2), the outer standpoint of every shape
-#: S.3 lifts, and the inner standpoint of a gci_nested fact (by S.4). A
-#: standpoint position generalizes along the run's seed sharpening order,
-#: whose top is `*`; the compiled joins hold `*` where they stand for the
-#: whole order.
+#: generalizes to, in the order `_implicit_step` lifts them: a gci_nested
+#: subject (Top), the outer standpoint of every shape S.3 lifts, and the
+#: inner standpoint of a gci_nested fact (`*`, the top of every order).
 _GENERAL: dict[str, tuple[tuple[int, object], ...]] = {
     rule.premises[0][0]: ((1, UNIVERSAL),)
     for rule in RULES if rule.name.startswith("S.3:")}
@@ -212,18 +160,15 @@ _GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
 
 
 class _Order(NamedTuple):
-    """A run's seed sharpening order over interned standpoints: the
-    reflexive-transitive closure of its input sharper facts and T.1, with
-    `*` above every other standpoint. Two standpoints that sharpen each
-    other are left unordered, so that no two facts stand for each other,
-    and a standpoint below two unordered ones is put below `*` only, so
-    that every up-set is a chain. (Both only leave more facts stored.)"""
+    """A run's seed sharpening order over interned standpoints. Two
+    standpoints that sharpen each other are left unordered, and one below
+    two unordered ones is put below `*` only, so that every up-set is a
+    chain (both only leave more facts stored)."""
     #: per standpoint, itself and then the standpoints strictly above it
     up: dict[int, tuple[int, ...]]
-    #: per standpoint, the set of standpoints strictly above it
-    above: dict[int, frozenset]
-    #: the standpoints with one strictly below them, and `*`
-    upper: tuple[int, ...]
+    #: per standpoint w, the lower of w and each standpoint comparable
+    #: with it
+    meet: dict[int, dict[int, int]]
     #: per standpoint, those its input sharper facts put it directly below
     edges: dict[int, list[int]]
 
@@ -255,32 +200,32 @@ def _seed_order(standpoints: list[int], sharpers) -> _Order:
         above[s] = frozenset({_STAR})
     up = {s: (s,) + tuple(u for u in standpoints if u in above[s])
           for s in standpoints}
-    upper = tuple(u for u in standpoints
-                  if u == _STAR or any(u in above[s] for s in standpoints))
-    return _Order(up, above, upper, edges)
+    meet = {w: {**{u: w for u in up[w]},
+                **{s: s for s in standpoints if w in above[s]}}
+            for w in standpoints}
+    return _Order(up, meet, edges)
 
 
 def _lift(fact: tuple, positions) -> tuple:
     """`fact` (or a pattern) with the constant of each generalizable
     position in `positions` put there."""
     spots = dict(_GENERAL.get(fact[0], ()))
-    return tuple(spots[k] if k in positions else p
+    return tuple(spots.get(k, p) if k in positions else p
                  for k, p in enumerate(fact))
 
 
-def _lifts(fact: tuple, spots) -> list[tuple]:
-    """The strict generalizations of `fact` over `spots`, its
-    (position, constant) pairs: the constant put at a non-empty subset of
-    the positions that do not hold it yet."""
-    free = [(k, c) for k, c in spots if fact[k] != c]
-    out = []
-    for n in range(1, 1 << len(free)):
-        lifted = list(fact)
-        for bit, (k, c) in enumerate(free):
-            if n >> bit & 1:
-                lifted[k] = c
-        out.append(tuple(lifted))
-    return out
+def _var_spots(pat: tuple) -> list[int]:
+    """The generalizable positions of a pattern that hold a variable."""
+    return [k for k, _ in _GENERAL.get(pat[0], ()) if isinstance(pat[k], Var)]
+
+
+def _generalizes(general: tuple, fact: tuple) -> bool:
+    """True when the pattern `general` is the pattern `fact`, or `fact`
+    with the top put at some of its generalizable positions."""
+    spots = dict(_GENERAL.get(fact[0], ()))
+    return general[0] == fact[0] and all(
+        a == b or spots.get(k) == a for k, (a, b) in enumerate(zip(general,
+                                                                    fact)))
 
 
 def _generalization(fact: tuple, up: dict, stored) -> tuple | None:
@@ -313,13 +258,10 @@ def _generalization(fact: tuple, up: dict, stored) -> tuple | None:
 def _implicit_step(fact: tuple, general: tuple | None) -> tuple[str, tuple]:
     """The last step of a canonical derivation of an interned implicit fact
     from its stored strict generalization `general` (None for a
-    tautology). It lifts the first position, in `_GENERAL` order, at which
-    the two differ, to the term of `general` (to the top, for a
-    tautology). A subject C other than Top follows by C.2 from
-    box_*[Top sub box_t[C => Top]] and the Top-subject copy; an outer or
-    inner standpoint s by S.3:<shape> or S.4 from the copy at u and
-    sharper(s, u). A tautology with all three lifted is a premise-free T
-    rule."""
+    tautology, whose tops it goes to): it lifts the first position, in
+    `_GENERAL` order, where the two differ. A subject follows by C.2 from
+    box_*[Top sub box_t[C => Top]], a standpoint s by S.3:<shape> or S.4
+    from sharper(s, u); a tautology lifted at all three is a T rule."""
     for k, top in _GENERAL_IDS[fact[0]]:
         term = top if general is None else general[k]
         if fact[k] != term:
@@ -363,155 +305,100 @@ class _Plan(NamedTuple):
     conclusion: tuple
     #: the premises that are implicit tautologies, generated
     implicit: tuple[int, ...]
-    #: (premise, positions) pairs: the stored fact holds a term above the
-    #: premise's there (Top, or a standpoint above), planned as the top,
-    #: and the premise's terms are bound elsewhere or range over their
-    #: universe
-    masks: tuple[tuple[int, tuple[int, ...]], ...]
-    #: (premise, positions) pairs: positions bound before the lookup,
-    #: where the terms above are probed too
-    probes: tuple[tuple[int, tuple[int, ...]], ...]
-    #: the fact reached: its shape and generalizable positions holding
-    #: the top
-    kind: tuple | None
+    #: the premises matched by a stored fact with a Top subject, which
+    #: stands for every subject
+    twins: tuple[int, ...]
+    #: the (premise, position) pairs of generalizable positions holding a
+    #: variable where the premise with the top is no generalization of the
+    #: conclusion, so that the fact matched may hold a term above; at the
+    #: reached premise's others, a fact holding the top stops the join
+    open: tuple[tuple[int, int], ...]
 
 
 def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
-               masks: dict[int, tuple[int, ...]],
-               consts: tuple[int, ...] = ()) -> _Plan | None:
+               twins: tuple[int, ...]) -> _Plan | None:
     """The variant of `rule` started from premise `i` in which each premise
-    in `families` is an implicit tautology of the given family, each
-    premise in `masks` is matched by a stored fact holding a term above
-    its own at the given positions, and the reached premise holds the top
-    at `consts`. The plan holds the top (Top, `*`) for such a term: what
-    the top implies, the term above does too. None when no such instance
-    exists or every one is already implied: a tautology, one of its own
-    stored premises or a generalization of one; or when another variant
-    makes the same combinations. A masked position bound by an earlier
-    premise is the probe's job, and a masked variable that shows up
-    elsewhere only where a premise is lifted or at the conclusion's
-    generalizable positions repeats the variant with that variable set to
-    the term held (the least of them, as up-sets are chains), which
-    concludes a generalization of each of its conclusions."""
+    in `families` is an implicit tautology of the given family and each in
+    `twins` is matched by a stored fact with a Top subject. None when no
+    such instance exists, when each is implied (a tautology, or a stored
+    premise or a generalization of one), or when another variant makes the
+    same combinations: a twin's subject bound before is probed, and one
+    found elsewhere only at lifted positions may as well be Top."""
     subst: dict | None = {}
     for j, family in families.items():
         subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
         if subst is None:
             return None
-    for k in consts:
-        subst = unify(rule.premises[i][k],
-                      dict(_GENERAL[rule.premises[i][0]])[k], subst)
-        if subst is None:
-            return None
     premises = resolve(rule.premises, subst)
     conclusion = resolve(rule.conclusion, subst)
-    spots = [dict(_GENERAL.get(p[0], ())) for p in premises]
-    if any(premises[j][k] == spots[j][k] for j, ks in masks.items()
-           for k in ks):
-        return None  # already the constant: the plain variant's job
-    matched = [_lift(p, masks.get(j, ())) for j, p in enumerate(premises)]
-    stored = [matched[j] for j in range(len(premises)) if j not in families]
-    conclusion_spots = _GENERAL.get(conclusion[0], ())
-    general = [conclusion] + _lifts(conclusion, conclusion_spots)
-    if _is_tautology(conclusion) or any(g in stored for g in general):
+    if any(premises[j][2] == TOPC for j in twins):
+        return None  # already Top: the plain variant's job
+    matched = [_lift(p, (2,)) if j in twins else p
+               for j, p in enumerate(premises)]
+    if _is_tautology(conclusion) or any(
+            _generalizes(matched[j], conclusion)
+            for j in range(len(premises)) if j not in families):
         return None
     # the join order: the reached premise, then the other stored ones
     order = [j for j in range(len(premises))
              if j != i and j not in families]
     bound: set[str] = set()
-    probes = {}
+    opened = []
     for j in ([] if i is None else [i]) + order:
-        for k in spots[j]:
-            names = _term_vars(premises[j][k])
-            if not names or not all(v in bound for v in names):
-                continue
-            if k in masks.get(j, ()):
-                return None
-            # probe the terms above too, unless what the top finds
-            # implies the conclusion
-            if _lift(matched[j], (k,)) not in general:
-                probes.setdefault(j, []).append(k)
+        for k, _ in _GENERAL.get(premises[j][0], ()):
+            if j in twins and k == 2:
+                if bound.issuperset(_term_vars(premises[j][k])):
+                    return None  # bound already: the probe's job
+            elif _term_vars(premises[j][k]) and not _generalizes(
+                    _lift(matched[j], (k,)), conclusion):
+                opened.append((j, k))
         bound.update(v for v, _ in pattern_vars(matched[j]))
-    loose = [_lift(p, spots[j] if j in families else masks.get(j, ()))
+    loose = [_lift(p, range(len(p)) if j in families else
+                   (2,) if j in twins else ())
              for j, p in enumerate(premises)]
-    loose.append(_lift(conclusion, [k for k, _ in conclusion_spots
-                                    if isinstance(conclusion[k], Var)]))
+    loose.append(_lift(conclusion, _var_spots(conclusion)))
     elsewhere = {var for pat in loose for var, _ in pattern_vars(pat)}
-    if any(isinstance(premises[j][k], Var)
-           and premises[j][k].name not in elsewhere
-           for j, ks in masks.items() for k in ks):
+    if any(isinstance(premises[j][2], Var)
+           and premises[j][2].name not in elsewhere for j in twins):
         return None
-    kind = None
-    if i is not None:
-        kind = (premises[i][0],
-                tuple(k for k, c in _GENERAL.get(premises[i][0], ())
-                      if matched[i][k] == c))
     return _Plan(i, premises, conclusion, tuple(sorted(families)),
-                 tuple(sorted(masks.items())),
-                 tuple((j, tuple(ks)) for j, ks in sorted(probes.items())),
-                 kind)
+                 tuple(twins), tuple(opened))
 
 
-def _is_order(pat: tuple, k: int) -> bool:
-    """True when position `k` of `pat` generalizes along the seed order (a
-    standpoint), not to Top."""
-    return dict(_GENERAL.get(pat[0], ())).get(k) == UNIVERSAL
+def _is_standpoint(shape: str, k: int) -> bool:
+    return FACT_SHAPES[shape][k - 1][1] == "standpoint"
 
 
 @cache
 def _compile_join(rule: Rule, plan: _Plan):
-    """Compile the join of a `_join_plan`, once per process. The result
-    makes, for one run, make(index, fact_ids, ranges, maps, emit, derive),
+    """Compile the join of a `_join_plan`, once per process, into
+    make(index, fact_ids, ranges, emit, **maps), which makes for one run
     the closure fn(fact, fid) to call on each fact the walk reaches (fact
-    None for a join without one); `index(shape, positions)` gives the run's
-    index tables, which hold the facts reached so far, and `maps` holds its
-    nominal, self-loop, alternative-key and seed order maps by name, and
-    its lookup of a stored strict generalization (`GENERAL`).
-
-    A masked standpoint position holds a term w of the stored fact with a
-    standpoint strictly below it (a lookup tries every such w, `UPPER`),
-    and the variable there must take a value strictly below w (`ABOVE`).
-    A masked subject holds Top, and its variable any other concept."""
+    None for a join without one). `index(shape, positions)` gives the run's
+    index tables of the facts reached so far; `maps` holds its nominal,
+    self-loop and seed order maps (`UP`, `MEET`), a subject's probes
+    (`ALT_C`) and its lookup of a stored generalization (`GENERAL`)."""
     i, premises, conclusion = plan.start, plan.premises, plan.conclusion
-    masks, probes = dict(plan.masks), dict(plan.probes)
+    twins, opened = plan.twins, set(plan.open)
     implicit = list(plan.implicit)
-    matched = [_lift(p, masks.get(j, ())) for j, p in enumerate(premises)]
-    # the term of the stored fact at each masked standpoint position
-    held = {(j, k): f"w{j}_{k}" for j, ks in masks.items() for k in ks
-            if _is_order(premises[j], k)}
-    for (j, k), name in held.items():
-        matched[j] = matched[j][:k] + (Var(name),) + matched[j][k + 1:]
+    matched = [_lift(p, (2,)) if j in twins else p
+               for j, p in enumerate(premises)]
     stored = [j for j in range(len(premises)) if j not in implicit]
     # built from their variables once every stored premise is bound
-    generated = implicit + [j for j in stored if j in masks]
-    # named by their own terms when a conclusion is emitted
-    rebuilt = generated + [j for j in stored if j in probes
-                           and j not in masks]
-    used_maps: set[str] = set()
-    # a masked variable must take a value the stored fact stands for: a
-    # standpoint strictly below the term held, or a subject other than
-    # Top; each check runs once its variables are bound
-    checks: list[tuple[set[str], str]] = []
-    for j, ks in masks.items():
-        for k in ks:
-            var = premises[j][k]
-            if not isinstance(var, Var):
-                continue
-            if (j, k) in held:
-                used_maps.add("ABOVE")
-                checks.append(({var.name, held[j, k]},
-                               f"v_{held[j, k]} not in ABOVE[v_{var.name}]"))
-            else:
-                checks.append(({var.name}, f"v_{var.name} == {_TOP}"))
+    generated = implicit + [j for j in stored if j in twins]
+    not_top = {premises[j][2].name for j in twins
+               if isinstance(premises[j][2], Var)}
     tables: dict[tuple, str] = {}
+    # the Python name holding each bound variable: a ceiling lowered by a
+    # later premise gets a new one, so that enclosing loops keep theirs
+    names: dict[str, str] = {}
+    ceiling: set[str] = set()
 
     def term_expr(p) -> str:
         if isinstance(p, Var):
-            return f"v_{p.name}"
+            return names[p.name]
         if is_nested(p):
-            up = _NESTED_MAPS[p[0]][1]
-            used_maps.add(up)
-            return f"{up}[v_{p[1].name}]"
+            return f"{_NESTED_MAPS[p[0]][1]}[{names[p[1].name]}]"
         return str(_FIXED_IDS[p])
 
     def tuple_expr(pat: tuple) -> str:
@@ -520,100 +407,92 @@ def _compile_join(rule: Rule, plan: _Plan):
 
     lines: list[str] = []
     ind = "    "
-    bound: set[str] = set()
 
     def bail() -> str:
         return "return" if ind == "    " else "continue"
 
-    def bind(var: str, out: list[str]) -> None:
-        bound.add(var)
-        for check in list(checks):
-            names, test = check
-            if names <= bound:
-                out.append(f"{ind}if {test}: {bail()}")
-                checks.remove(check)
+    def loop(target: str, iterable: str) -> None:
+        nonlocal ind
+        lines.append(f"{ind}for {target} in {iterable}:")
+        ind += "    "
 
-    def destructure(src: str, pat: tuple) -> list[str]:
-        out = []
-        for j, p in enumerate(pat[1:], start=1):
-            if p is None:  # wildcard from _defer_pattern
-                continue
-            if isinstance(p, Var):
-                if p.name in bound:
-                    out.append(f"{ind}if {src}[{j}] != v_{p.name}: {bail()}")
-                else:
-                    out.append(f"{ind}v_{p.name} = {src}[{j}]")
-                    bind(p.name, out)
-            elif is_nested(p):
-                v = p[1]
-                dmap = _NESTED_MAPS[p[0]][0]
-                used_maps.add(dmap)
-                if v.name in bound:
-                    out.append(f"{ind}if {dmap}.get({src}[{j}], -1) != "
-                               f"v_{v.name}: {bail()}")
-                else:
-                    out.append(f"{ind}v_{v.name} = {dmap}.get({src}[{j}], -1)")
-                    out.append(f"{ind}if v_{v.name} < 0: {bail()}")
-                    bind(v.name, out)
-            else:
-                out.append(f"{ind}if {src}[{j}] != {term_expr(p)}: {bail()}")
-        return out
-
-    # A conclusion that is a tautology, or that is stored or has a stored
-    # strict generalization, is implied: each test runs as soon as its
-    # variables are bound.
-    guards = []
-    conclusion_vars = _term_vars(conclusion)
+    # A conclusion that is a tautology is implied: the test runs as soon
+    # as its variables are bound.
+    pairs = []
     if conclusion[0] == "gci_nested":
         pairs = [sides(conclusion) for sides in _TAUTOLOGY_FAMILIES.values()]
         pairs = [pair for pair in pairs if unify(*pair, {}) is not None]
-        if pairs:
-            guards.append((_term_vars(pairs), " or ".join(
-                f"{term_expr(a)} == {term_expr(b)}" for a, b in pairs)))
-    spots = _GENERAL.get(conclusion[0], ())
-    # a stored premise that is the conclusion with standpoints above its
-    # own at order positions (S.3, S.4) implies it
-    for j in stored:
-        if matched[j][0] != conclusion[0]:
-            continue
-        above = []
-        for k, (p, c) in enumerate(zip(matched[j], conclusion)):
-            if p == c or (k, p) == (2, TOPC) and conclusion[0] == "gci_nested":
-                continue
-            if not (_is_order(conclusion, k) and isinstance(p, Var)
-                    and isinstance(c, Var)):
-                break
-            above.append((p.name, c.name))
-        else:
-            if above:
-                used_maps.add("ABOVE")
-                guards.append(([v for pair in above for v in pair],
-                               " and ".join(f"v_{a} in ABOVE[v_{b}]"
-                                            for a, b in above)))
-    stored_test = "_c in fact_ids"
-    if any(conclusion[k] != c for k, c in spots):
-        stored_test += " or GENERAL(_c) is not None"
-        used_maps.add("GENERAL")
-    guards.append((conclusion_vars, stored_test))
-    computed = []  # the indentation at which _c was computed
 
     def run_guards() -> None:
-        for guard in list(guards):
-            names, test = guard
-            if all(v in bound for v in names):
-                if test == stored_test:
-                    lines.append(f"{ind}_c = {tuple_expr(conclusion)}")
-                    computed.append(ind)
-                lines.append(f"{ind}if {test}: {bail()}")
-                guards.remove(guard)
+        nonlocal pairs
+        if pairs and all(v in names for v in _term_vars(pairs)):
+            lines.append(f"{ind}if " + " or ".join(
+                f"{term_expr(a)} == {term_expr(b)}" for a, b in pairs)
+                + f": {bail()}")
+            pairs = []
+
+    def rename(var: str, is_ceiling: bool) -> str:
+        """A new Python name for `var`, bound next as a ceiling or not."""
+        names[var] = f"v_{var}_{len(lines)}" if var in names else f"v_{var}"
+        (ceiling.add if is_ceiling else ceiling.discard)(var)
+        return names[var]
+
+    def bind(var: str, expr: str, is_ceiling: bool) -> None:
+        lines.append(f"{ind}{rename(var, is_ceiling)} = {expr}")
+
+    def match(src: str, pat: tuple, j: int) -> None:
+        """Bind or check the variables of premise `j`'s pattern `pat` (None
+        at the positions already keyed) against the fact `src`. The first
+        position of each unbound plain variable is unpacked."""
+        fresh = {}
+        for k, p in enumerate(pat[1:], start=1):
+            if isinstance(p, Var) and p.name not in names | fresh.keys():
+                fresh[p.name] = k
+        if fresh:
+            targets = ["_"] * len(pat)
+            for var, k in fresh.items():
+                targets[k] = rename(var, (j, k) in opened
+                                    and _is_standpoint(pat[0], k))
+            lines.append(f"{ind}{', '.join(targets)} = {src}")
+            for var in fresh.keys() & not_top:
+                lines.append(f"{ind}if {names[var]} == {_TOP}: {bail()}")
+        for k, p in enumerate(pat[1:], start=1):
+            term = f"{src}[{k}]"
+            if p is None or k in fresh.values():
+                continue
+            if is_nested(p):
+                v = p[1].name
+                dmap = _NESTED_MAPS[p[0]][0]
+                if v in names:
+                    lines.append(f"{ind}if {dmap}.get({term}, -1) != "
+                                 f"{names[v]}: {bail()}")
+                else:
+                    bind(v, f"{dmap}.get({term}, -1)", False)
+                    lines.append(f"{ind}if {names[v]} < 0: {bail()}")
+                continue
+            if not isinstance(p, Var):
+                lines.append(f"{ind}if {term} != {term_expr(p)}: {bail()}")
+                continue
+            name = names[p.name]
+            if p.name in ceiling and (j, k) in opened:
+                bind(p.name, f"MEET[{name}].get({term}, -1)", True)
+                lines.append(f"{ind}if {names[p.name]} < 0: {bail()}")
+            elif p.name in ceiling and _is_standpoint(pat[0], k):
+                lines.append(f"{ind}if {name} not in UP[{term}]: {bail()}")
+                bind(p.name, term, False)
+            elif (j, k) in opened and _is_standpoint(pat[0], k):
+                lines.append(f"{ind}if {term} not in UP[{name}]: {bail()}")
+            else:
+                lines.append(f"{ind}if {term} != {name}: {bail()}")
 
     if i is not None:
-        lines.append(f"{ind}p{i} = fact")
-        # its kind fixes which generalizable positions hold the top; a
-        # masked standpoint position gives the term held
-        general = [k for k in plan.kind[1] if (i, k) not in held]
-        lines.extend(destructure("fact", tuple(
-            None if k in general else p for k, p in enumerate(matched[i]))))
+        # its kind fixes whether a gci_nested subject is Top
+        subject = 2 if matched[i][0] == "gci_nested" else None
+        match("fact", tuple(None if (k, p) == (subject, TOPC) else p
+                            for k, p in enumerate(matched[i])), i)
+        for k, top in _GENERAL_IDS.get(matched[i][0], ()):
+            if isinstance(matched[i][k], Var) and (i, k) not in opened:
+                lines.append(f"{ind}if fact[{k}] == {top}: return")
         run_guards()
 
     # Stored premises are looked up in tables of facts reached so far, or
@@ -621,81 +500,75 @@ def _compile_join(rule: Rule, plan: _Plan):
     # built afterwards from their free variables.
     for j in (k for k in stored if k != i):
         pat = matched[j]
-        positions, value_exprs, deferred = [], [], []
+        keyed, key_exprs = [], []
         for k, p in enumerate(pat[1:], start=1):
-            if (j, k) in held:
-                used_maps.add("UPPER")
-                lines.append(f"{ind}for v_{held[j, k]} in UPPER:")
-                ind += "    "
-                bind(held[j, k], lines)
-            if all(v in bound for v in _term_vars(p)):
-                positions.append(k)
-                expr = term_expr(p)
-                if k in probes.get(j, ()):
-                    alt = ("ALT_S" if dict(_GENERAL[pat[0]])[k] == UNIVERSAL
-                           else "ALT_C")
-                    used_maps.add(alt)
-                    lines.append(f"{ind}for a{j}_{k} in {alt}[{expr}]:")
-                    ind += "    "
-                    expr = f"a{j}_{k}"
-                value_exprs.append(expr)
-            else:
-                deferred.append((k, p))
-        if not deferred:
+            # a ceiling is matched after the lookup, not keyed
+            if not all(v in names and v not in ceiling
+                       for v in _term_vars(p)):
+                continue
+            keyed.append(k)
+            expr = term_expr(p)
+            if (j, k) in opened:
+                alt = f"a{j}_{k}"
+                loop(alt, f"UP[{expr}]" if _is_standpoint(pat[0], k)
+                     else f"ALT_C[{expr}]")
+                expr = alt
+            key_exprs.append(expr)
+        if len(keyed) == len(pat) - 1:
             lines.append(f"{ind}p{j} = ({pat[0]!r}, "
-                         + ", ".join(value_exprs) + ")")
+                         + ", ".join(key_exprs) + ")")
             lines.append(f"{ind}if fact_ids.get(p{j}, fid + 1) > fid: "
                          f"{bail()}")
         else:
-            key = (value_exprs[0] if len(value_exprs) == 1
-                   else "(" + ", ".join(value_exprs) + ")")
-            table = tables.setdefault((pat[0], tuple(positions)),
+            key = (key_exprs[0] if len(key_exprs) == 1
+                   else "(" + ", ".join(key_exprs) + ")")
+            table = tables.setdefault((pat[0], tuple(keyed)),
                                       f"T{len(tables)}")
-            lines.append(f"{ind}for p{j} in {table}.get({key}, ()):")
-            ind += "    "
-            lines.extend(destructure(f"p{j}", _defer_pattern(pat, deferred)))
+            loop(f"p{j}", f"{table}.get({key}, ())")
+            match(f"p{j}", tuple(None if k in keyed else p
+                                 for k, p in enumerate(pat)), j)
         run_guards()
 
     # Only the constant instance of a conclusion's generalizable position
     # is needed: the others are its specializations.
-    loose_conclusion = _lift(conclusion, [k for k, _ in spots
-                                          if isinstance(conclusion[k], Var)])
+    loose_conclusion = _lift(conclusion, _var_spots(conclusion))
     for n, j in enumerate(generated):
         later = [loose_conclusion] + [premises[k] for k in generated[n + 1:]]
         needed = {var for pat in later for var, _ in pattern_vars(pat)}
         for var, kind in pattern_vars(premises[j]):
-            if var not in bound:
+            if var not in names:
                 # a variable nothing else reads takes any one value
                 key = kind if var in needed else ("any", kind)
-                lines.append(f"{ind}for v_{var} in ranges[{key!r}]:")
-                ind += "    "
-                bind(var, lines)
+                loop(f"v_{var}", f"ranges[{key!r}]")
+                names[var] = f"v_{var}"
+                if var in not_top:
+                    lines.append(f"{ind}if v_{var} == {_TOP}: continue")
                 run_guards()
 
     for var, kind in rule.ranges:
-        if var not in bound:
-            lines.append(f"{ind}for v_{var} in ranges[{kind!r}]:")
-            ind += "    "
-            bound.add(var)
+        if var not in names:
+            loop(f"v_{var}", f"ranges[{kind!r}]")
+            names[var] = f"v_{var}"
     run_guards()
-    if computed[0] != ind:  # a loop since: a conclusion emitted in it
-        lines.append(f"{ind}if _c in fact_ids: continue")
+    # a conclusion stored, or with a stored generalization, is implied
+    test = "_c in fact_ids"
+    if any(conclusion[k] != c for k, c in _GENERAL.get(conclusion[0], ())):
+        test += " or GENERAL(_c) is not None"
+    lines.append(f"{ind}_c = {tuple_expr(conclusion)}")
+    lines.append(f"{ind}if {test}: {bail()}")
 
-    for j in rebuilt:
-        lines.append(f"{ind}p{j} = {tuple_expr(premises[j])}")
-        lines.append(f"{ind}if p{j} not in fact_ids: derive(p{j})")
-    prems = ("(" + ", ".join(f"p{k}" for k in range(len(premises)))
-             + ("," if len(premises) == 1 else "") + ")")
-    lines.append(f"{ind}emit(_c, {prems}, {rule.name!r})")
+    # the premises are named by their own terms: a stored fact matched may
+    # stand for them
+    prems = "".join(tuple_expr(p) + ", " for p in premises)
+    lines.append(f"{ind}emit(_c, ({prems}), {rule.name!r})")
 
-    head = ["def _make(index, fact_ids, ranges, maps, emit, derive):"]
-    head += [f"    {m} = maps[{m!r}]" for m in sorted(used_maps)]
+    head = [f"def _make(index, fact_ids, ranges, emit, {', '.join(_MAPS)}):"]
     head += [f"    {name} = index{key!r}" for key, name in tables.items()]
     head += ["    def _fn(fact, fid):"]
     lines = head + ["    " + line for line in lines] + ["    return _fn"]
     ns: dict = {}
     label = (f"<join {rule.name} from {i}, implicit {implicit}, "
-             f"masks {plan.masks}, probes {plan.probes}>")
+             f"twins {twins}, open {plan.open}>")
     exec(compile("\n".join(lines), label, "exec"), ns)  # noqa: S102
     return ns["_make"]
 
@@ -709,132 +582,67 @@ def _term_vars(term) -> list[str]:
     return []
 
 
-def _defer_pattern(pat: tuple, deferred: list) -> tuple:
-    """A pattern keeping only the deferred positions (others wildcarded)."""
-    wild: list = [pat[0]] + [None] * (len(pat) - 1)
-    for k, p in deferred:
-        wild[k] = p
-    return tuple(wild)
-
-
-def _subsets(items: list) -> list[tuple]:
-    return [tuple(x for bit, x in enumerate(items) if n >> bit & 1)
-            for n in range(1 << len(items))]
-
-
 def _modes(rule: Rule, i: int | None):
-    """The (families, masks) choices `_join_plan` is asked about for a join
+    """The (families, twins) choices `_join_plan` is asked about for a join
     of `rule` from premise `i`: each gci_nested premise other than the
-    reached one may be an implicit tautology, and each premise may be
-    matched by a stored fact lifted at some of its generalizable positions
-    that hold no constant. Another premise is not lifted where the reached
-    one binds the variable: that is a probe's job."""
-    own = [{}] if i is None else [{i: ks} if ks else {} for ks in
-                                  _subsets(_liftable(rule.premises[i]))]
-    for mine in own:
-        bound = set() if i is None else set(_term_vars([
-            p for k, p in enumerate(rule.premises[i][1:], start=1)
-            if k not in mine.get(i, ())]))
-        options = []
-        for j, pat in enumerate(rule.premises):
-            if j == i:
-                continue
-            choices = ([({j: f}, {}) for f in _TAUTOLOGY_FAMILIES]
-                       if pat[0] == "gci_nested" else [])
-            if i is not None:
-                free = [k for k in _liftable(pat)
-                        if not bound.intersection(_term_vars(pat[k]))]
-                choices += [({}, {j: ks} if ks else {})
-                            for ks in _subsets(free)]
-            options.append(choices)
-        for choice in product(*options):
-            families: dict[int, str] = {}
-            masks: dict[int, tuple[int, ...]] = dict(mine)
-            for family, mask in choice:
-                families.update(family)
-                masks.update(mask)
-            yield families, masks
-
-
-def _liftable(pat: tuple) -> list[int]:
-    """The generalizable positions of a pattern that hold no constant."""
-    return [k for k, c in _GENERAL.get(pat[0], ()) if pat[k] != c]
-
-
-def _kinds(rule: Rule, plan: _Plan, families: dict, masks: dict) -> set:
-    """The kinds of fact reached that the variant `plan` of `rule` runs
-    on. A kind is (shape, positions holding the top, standpoint
-    positions holding a standpoint of `_Order.upper`). A join binding a
-    variable from a generalizable position of the fact reached runs on the
-    facts with the top there, and on the others, unless the variant with
-    that variable set to the top is pruned; a join leaving a standpoint
-    position open runs on the facts with an upper standpoint there, the
-    top or another."""
-    i = plan.start
-    shape = plan.premises[i][0]
-    spots = _GENERAL.get(shape, ())
-    ordered = [k for k, c in spots if c == UNIVERSAL]
-    held = [k for k in masks.get(i, ()) if k in ordered]
-    plain = [k for k in _liftable(plan.premises[i])
-             if k not in masks.get(i, ())
-             and isinstance(plan.premises[i][k], Var)]
-    kinds = set()
-    for consts in _subsets(plain):
-        variant = (_join_plan(rule, i, families, masks, consts) if consts
-                   else plan)
-        if variant is None:
-            continue
-        for tops in _subsets(held):
-            general = {k for k in variant.kind[1]
-                       if k not in held or k in tops}
-            need = set(held) | (general & set(ordered))
-            for more in _subsets([k for k in ordered if k not in need]):
-                upper = need.union(more)
-                kinds.add((shape, tuple(k for k, _ in spots if k in general),
-                           tuple(k for k in ordered if k in upper)))
-    return kinds
+    reached one may be an implicit tautology, and each one whose subject
+    is not Top may be matched by a stored fact with a Top subject. A join
+    without a fact reached has only implicit premises."""
+    options = []
+    for j, pat in enumerate(rule.premises):
+        choices: list[tuple[dict, tuple]] = [({}, ())]
+        if pat[0] == "gci_nested":
+            if j != i:
+                choices += [({j: f}, ()) for f in _TAUTOLOGY_FAMILIES]
+            if i is not None and pat[2] != TOPC:
+                choices.append(({}, (j,)))
+        options.append(choices)
+    for choice in product(*options):
+        families: dict[int, str] = {}
+        twins: tuple[int, ...] = ()
+        for family, twin in choice:
+            families.update(family)
+            twins += twin
+        if i is not None or len(families) == len(rule.premises):
+            yield families, twins
 
 
 @cache
-def _dispatch(shape: str) -> dict[tuple, list]:
-    """Per kind of fact reached of `shape`, the (rule, plan) joins to run,
-    in rule order. Planned on first use, so importing the package, and a
-    run that reaches no fact of the shape, stay cheap."""
-    dispatch: dict[tuple, list] = {}
+def _dispatch(shape: str | None) -> dict[bool, list]:
+    """The (rule, plan) joins to run on each fact reached of `shape`, in
+    rule order, keyed by whether a gci_nested subject is Top: a twin or a
+    Top pattern takes only Top, a nominal or a twin's subject variable any
+    other. For None, under False, the joins whose premises are all
+    implicit tautologies. Planned on first use, so importing the package
+    stays cheap."""
+    dispatch: dict[bool, list] = {}
     for rule in RULES:
         seen = set()
-        for i, pat in enumerate(rule.premises):
-            if pat[0] != shape:
-                continue
-            for families, masks in _modes(rule, i):
-                plan = _join_plan(rule, i, families, masks)
+        starts = [i for i, p in enumerate(rule.premises) if p[0] == shape]
+        for i in [None] if shape is None and rule.premises else starts:
+            for families, twins in _modes(rule, i):
+                plan = _join_plan(rule, i, families, twins)
                 if plan is None or plan in seen:
                     continue
                 seen.add(plan)
-                for kind in sorted(_kinds(rule, plan, families, masks)):
-                    dispatch.setdefault(kind, []).append((rule, plan))
+                subject = (TOPC if i in twins else plan.premises[i][2]
+                           if shape == "gci_nested" else None)
+                tops = ([True] if subject == TOPC else [False, True]
+                        if isinstance(subject, Var) and subject not in {
+                            plan.premises[j][2] for j in twins}
+                        else [False])
+                for top in tops:
+                    dispatch.setdefault(top, []).append((rule, plan))
     return dispatch
 
 
 @cache
 def _joins(kind: tuple | None) -> tuple:
-    """The compiled joins to run on each fact reached of `kind`, or for
-    None, those whose premises are all implicit tautologies, which run
-    once per saturation, before the walk. Compiled on first use."""
-    if kind is not None:
-        return tuple(_compile_join(rule, plan)
-                     for rule, plan in _dispatch(kind[0]).get(kind, ()))
-    makes = []
-    for rule in RULES:
-        if rule.premises and all(p[0] == "gci_nested"
-                                 for p in rule.premises):
-            for families, masks in _modes(rule, None):
-                plan = _join_plan(rule, None, families, masks)
-                if plan is not None:
-                    make = _compile_join(rule, plan)
-                    if make not in makes:
-                        makes.append(make)
-    return tuple(makes)
+    """The compiled joins of `kind`, (shape, subject is Top), or for None
+    those that run once per saturation, before the walk."""
+    shape, top = kind or (None, False)
+    return tuple(_compile_join(rule, plan)
+                 for rule, plan in _dispatch(shape).get(top, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -847,28 +655,21 @@ class _Stop(Exception):
 
 def saturate(store: FactStore, early_exit_on_refutation: bool = True,
              fact_limit: int | None = None) -> FactStore:
-    """Closure of `store` under all rules; returns a new store.
-
-    Implicit tautologies and twins (facts with a stored generalization)
-    are not stored, except those that are premises of stored facts (see
-    the module docstring). With `early_exit_on_refutation` the run may
-    stop as soon as the refutation fact appears (the result is then
-    marked partial). Raises
+    """Closure of `store` under all rules, less its implicit facts that
+    are no premise of a stored one; returns a new store. With
+    `early_exit_on_refutation` the run may stop as soon as the refutation
+    fact appears (the result is then marked partial). Raises
     PreprocessError when an input fact names a term outside the store's
     universes, and FactLimitExceeded when more facts are stored than the
-    polynomial bound or `fact_limit` allows.
-    """
+    polynomial bound or `fact_limit` allows."""
     uni = store.universes
     bound = polynomial_fact_bound(uni)
     limit = bound if fact_limit is None else min(bound, fact_limit)
 
     # This run's interning tables, fixed by the universes: term <-> id,
-    # each kind's ids, the maps between a nominal (self-loop) concept id
-    # and its individual (role) id, the seed order's maps, and the
-    # alternative keys a bound generalizable position is probed with: the
-    # standpoint's up-set, or the concept and Top. `*` and Top lead their
-    # ranges: they are the values an implicit premise takes where any
-    # value will do.
+    # each kind's ids, and the maps between a nominal (self-loop) concept
+    # id and its individual (role) id. `*` and Top lead their ranges: they
+    # are the values an implicit premise takes where any value will do.
     term_ids = dict(_FIXED_IDS)
     ranges: dict = {}
     for kind in KINDS:
@@ -891,14 +692,6 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
 
     def intern_fact(fact: Fact) -> tuple:
         return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
-
-    order = _seed_order(ranges["standpoint"], [
-        intern_fact(f) for f in store.by_shape.get("sharper", ())])
-    up = order.up
-    upper = set(order.upper)
-    maps.update(ALT_S=up, ABOVE=order.above, UPPER=order.upper,
-                ALT_C={t: (t, _TOP) if t != _TOP else (t,)
-                       for t in ranges["concept"]})
 
     refutation = intern_fact(REFUTATION_FACT)
     eng = FactStore(uni)
@@ -924,9 +717,21 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 add(intern_fact(fact), rule.name, ())
     check_limit()
 
+    # The seed order's maps, and the alternative keys a bound subject is
+    # probed with: the concept and Top.
+    order = _seed_order(ranges["standpoint"], [
+        intern_fact(f) for f in store.by_shape.get("sharper", ())])
+    up = order.up
+    maps.update(UP=up, MEET=order.meet,
+                ALT_C={t: (t, _TOP) if t != _TOP else (t,)
+                       for t in ranges["concept"]})
+
     stopped = False
 
     def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
+        for p in premises:
+            if p not in fact_ids:
+                derive(p)
         add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
         check_limit()
         if early_exit_on_refutation and concl == refutation:
@@ -971,26 +776,20 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         table = tables.get((shape, positions))
         if table is None:
             table = tables[shape, positions] = {}
-            key_of = itemgetter(*positions) if positions else _no_key
+            key_of = itemgetter(*positions) if positions else (
+                lambda fact: ())
             tables_of.setdefault(shape, []).append((key_of, table))
             for fact in joined[shape]:
                 table.setdefault(key_of(fact), []).append(fact)
         return table
 
-    # this run's instance of each compiled join, made when the walk first
-    # reaches a fact of a kind that runs it
-    made: dict = {}
-
     def instances(kind: tuple | None) -> list:
-        out = []
-        for make in _joins(kind):
-            if make not in made:
-                made[make] = make(index, fact_ids, ranges, maps, emit,
-                                  derive)
-            out.append(made[make])
-        return out
+        """This run's instances of the joins of `kind`."""
+        return [make(index, fact_ids, ranges, emit, **maps)
+                for make in _joins(kind)]
 
     if not (early_exit_on_refutation and refutation in fact_ids):
+        # per kind, the joins made when the walk first reaches one
         joins: dict[tuple, list] = {}
         try:
             for fn in instances(None):
@@ -1004,12 +803,9 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 if shape == "gci_nested" and (fact[4] == fact[5]
                                               or fact[5] == _TOP):
                     continue  # a tautology: matched implicitly
-                spots = _GENERAL_IDS.get(shape, ())
-                if spots and general_of(fact) is not None:
+                if general_of(fact) is not None:
                     continue  # a stored generalization's joins cover it
-                kind = (shape, tuple([k for k, c in spots if fact[k] == c]),
-                        tuple([k for k, c in spots
-                               if c == _STAR and fact[k] in upper]))
+                kind = (shape, shape == "gci_nested" and fact[2] == _TOP)
                 joined[shape].append(fact)
                 for key_of, table in tables_of.get(shape, ()):
                     key = key_of(fact)
@@ -1025,7 +821,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                     fn(fact, fid)
         except _Stop:
             stopped = True
-        del made, joins, tables, tables_of, joined  # the run's indexes
+        del joins, tables, tables_of, joined  # the run's indexes
     else:
         stopped = True
 

@@ -87,10 +87,11 @@ def test_fact_limit_env(capsys, monkeypatch):
     assert "internal invariant violated" in err
     assert "SPEL_FACT_LIMIT" not in err
     monkeypatch.undo()
-    monkeypatch.setenv("SPEL_FACT_LIMIT", "banana")
-    code, _, err = run(capsys, "check", EXAMPLE1)
-    assert code == 1
-    assert "SPEL_FACT_LIMIT" in err
+    for value in ("banana", "-3", "0"):
+        monkeypatch.setenv("SPEL_FACT_LIMIT", value)
+        code, _, err = run(capsys, "check", EXAMPLE1)
+        assert code == 1
+        assert "SPEL_FACT_LIMIT" in err and len(err.splitlines()) == 1
 
 
 def test_entail_queries(capsys):
@@ -144,6 +145,18 @@ def test_oracle_verdicts(capsys, tmp_path):
     assert out.strip() == "NoneWithinBounds"
 
 
+def test_oracle_bounds_below_one_are_usage_errors(capsys, tmp_path):
+    """A bound of the model search that is not positive is a usage error
+    with one line on stderr."""
+    sat = write(tmp_path, "sat.spel", "A(a);")
+    for flag, value in (("--max-domain", "0"), ("--max-prec", "0"),
+                        ("--max-domain", "-2")):
+        code, _, err = run(capsys, "oracle", flag, value, sat)
+        assert code == 1, (flag, value)
+        assert err.splitlines() == [
+            f"error: {flag} must be a positive integer, got {value}"]
+
+
 def test_usage_error_on_unknown_command(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
@@ -184,8 +197,8 @@ def test_role_free_saturation_compiles_part_of_the_joins():
              "saturation.saturate(prep(kb))\n"
              "used = saturation._compile_join.cache_info().currsize\n"
              "made = {m for shape in FACT_SHAPES\n"
-             "        for kind in saturation._dispatch(shape)\n"
-             "        for m in saturation._joins(kind)}\n"
+             "        for top in saturation._dispatch(shape)\n"
+             "        for m in saturation._joins((shape, top))}\n"
              "print(used, len(made | set(saturation._joins(None))))\n")
     used, total = map(int, _python(probe).split())
     assert 0 < used < total

@@ -86,13 +86,17 @@ def reference_fixpoint(store) -> set:
 
 #: hand-made KBs for the seed sharpening order. In "E.2" and "A.5" the
 #: last input fact, a chain inclusion at SN, joins a premise at SN and one
-#: at H <= SN: the join finds the first through a lookup that leaves its
-#: standpoint open and tries each standpoint with another below it. In
-#: "cycle" A and B sharpen each other and both hold C sub D: neither may
-#: stand for the other, or the walk would skip both. In "meet" M lies
+#: at H <= SN: the chain inclusion's standpoint, a ceiling, is lowered to
+#: H. In "cycle" A and B sharpen each other and both hold C sub D: neither
+#: may stand for the other, or the walk would skip both. In "meet" M lies
 #: below H and L, which are unordered, so only `*` stands above M: a
 #: chain inclusion at `*` joins the copies at M of an H fact and an L
-#: fact, and no one join variant could match both through H and L.
+#: fact. In "C.4" the last fact, D sub E at SN, meets C sub dia H D, whose
+#: inner standpoint is not generalizable: the ceiling SN accepts H below
+#: it. In "C.1" the last fact, C sub D at SN, is lowered by D sub E at H,
+#: and in "C.1 reversed" D sub E at SN by C sub D at H, so that each
+#: premise of C.1 holds the ceiling once. "chain" does both over two
+#: levels, M <= H <= SN.
 ORDER_KBS = {
     "E.2": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
            "concept E; box SN { C sub ex R . D; } box H { D sub ex R . E; } "
@@ -106,6 +110,17 @@ ORDER_KBS = {
     "meet": "standpoint H; standpoint L; standpoint M; concept C; "
             "concept D; M <= H; M <= L; box H { C sub ex R . D; } "
             "box L { D sub ex R . C; } box * { R o R sub Q; }",
+    "C.4": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
+           "concept E; box * { C sub dia H D; } box SN { D sub E; }",
+    "C.1": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
+           "concept E; box H { D sub E; } box SN { C sub D; }",
+    "C.1 reversed": "standpoint H; standpoint SN; H <= SN; concept C; "
+                    "concept D; concept E; box H { C sub D; } "
+                    "box SN { D sub E; }",
+    "chain": "standpoint M; standpoint H; standpoint SN; M <= H; H <= SN; "
+             "concept C; concept D; concept E; concept F; "
+             "box * { C sub dia M D; } box M { D sub E; } "
+             "box SN { C sub D; } box SN { D sub F; }",
 }
 
 

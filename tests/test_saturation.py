@@ -150,6 +150,13 @@ def test_input_fact_outside_the_universes_is_rejected():
     error that names the fact."""
     with pytest.raises(PreprocessError, match=r"sharper\(H, SN\)"):
         saturate(fresh_store([("sharper", "H", "SN")]))
+    # a sharper fact with one standpoint in the universes and one outside
+    # them, either way round
+    with pytest.raises(PreprocessError, match=r"sharper\(H, \*\)"):
+        saturate(fresh_store([("sharper", "H", UNIVERSAL)]))
+    with pytest.raises(PreprocessError, match=r"sharper\(H, SN\)"):
+        saturate(fresh_store([("sharper", "H", "SN")],
+                             standpoints={"H", UNIVERSAL}))
     misplaced = ("gci_nested", "a", TOPC, UNIVERSAL, TOPC, ("cn", "A"))
     store = fresh_store([misplaced], individuals={"a"},
                         concepts={TOPC, BOTC, ("cn", "A"), ("nom", "a")})
@@ -373,9 +380,9 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
         return [g for g in itertools.product(*choices) if g != fact]
 
     def watch(make):
-        def watched_make(index, fact_ids, ranges, maps, emit, derive):
-            fn = make(index, fact_ids, ranges, maps, emit, derive)
-            up = maps["ALT_S"]
+        def watched_make(index, fact_ids, ranges, emit, **maps):
+            fn = make(index, fact_ids, ranges, emit, **maps)
+            up = maps["UP"]
 
             def watched(fact, fid):
                 if fact is not None and fid not in first_calls:
@@ -413,6 +420,17 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
                and any(f[:1] + (u,) + f[2:] in out.fact_ids
                        for u in up[f[1]] - {f[1], UNIVERSAL})
                for f in out.facts)
+
+
+def test_join_variants_stay_few():
+    """The planner makes at most 140 join variants: those it plans for the
+    facts reached of every shape, and the joins whose premises are all
+    implicit tautologies. A standpoint above a premise's is matched by the
+    compiled lookups at run time, not by variants of its own."""
+    planned = {(rule, plan) for shape in FACT_SHAPES
+               for joins in saturation._dispatch(shape).values()
+               for rule, plan in joins}
+    assert len(planned) + len(saturation._joins(None)) <= 140
 
 
 def test_refutation_trace_replayable():
