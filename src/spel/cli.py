@@ -6,7 +6,8 @@ derivation); `saturate` prints the full closure. Every subcommand takes
 `--format json` for one JSON payload in place of its text lines.
 Exit codes: 0 command completed (verdict in output), 1 usage error
 (among them a SPEL_FACT_LIMIT, --max-domain or --max-prec that is not a
-positive integer), 2 parse error, 3 a saturation stored more facts than
+positive integer, and an entail query file that gives a name of the KB
+another kind), 2 parse error, 3 a saturation stored more facts than
 allowed: either more than the environment variable SPEL_FACT_LIMIT allows
 (a cap for check/entail/saturate), or more than the polynomial fact
 bound, which is an internal invariant violation. The message on stderr
@@ -23,11 +24,11 @@ import time
 
 from . import oracle as oracle_mod
 from .datalog import write_program
-from .model import KnowledgeBase, size
+from .model import KnowledgeBase, occurring_vocabulary, size
 from .normalize import normalize
 from .parser import parse_kb, render_kb, render_statement
 from .preprocess import prep
-from .reasoner import UNSAT, check_sat, entails
+from .reasoner import UNSAT, check_sat, entails, query_closure
 from .saturation import (FactLimitExceeded, export_trace, format_fact,
                          saturate)
 
@@ -87,14 +88,20 @@ def _cmd_check(args):
 def _cmd_entail(args):
     kb = _load_kb(args.file)
     queries = _load_kb(args.query)
+    try:  # the names the queries use keep their kinds in the KB
+        kb.vocabulary.merge(occurring_vocabulary(queries.statements))
+    except ValueError as exc:
+        raise _Usage(f"{args.query} and {args.file} clash: {exc}")
     limit = _fact_limit()
+    closure = query_closure(kb, queries.statements, fact_limit=limit)
     results = []
     lines = []
     for statement in queries.statements:
-        res = entails(kb, statement, fact_limit=limit)
+        res = entails(kb, statement, fact_limit=limit, closure=closure)
         entry = {
             "query": render_statement(statement),
             "verdict": res.verdict,
+            "decided_by": res.decided_by,
             "subcheck_count": len(res.subchecks),
         }
         if res.witness_standpoint is not None:
@@ -104,7 +111,11 @@ def _cmd_entail(args):
     overall = ("ENTAILED" if results
                and all(r["verdict"] == "ENTAILED" for r in results)
                else "NOT_ENTAILED" if results else None)
-    return overall, None, {"queries": results}, lines
+    built = closure is not None and closure.store is not None
+    return overall, None, {
+        "queries": results,
+        "closure_fact_count": len(closure.store) if built else None,
+    }, lines
 
 
 def _cmd_normalize(args):

@@ -131,7 +131,7 @@ _MAPS = ("UP", "MEET", "ALT_C", "GENERAL") + sum(_NESTED_MAPS.values(), ())
 # Implicit facts: tautologies and generalization twins
 # ---------------------------------------------------------------------------
 
-def _is_tautology(fact: Fact) -> bool:
+def is_tautology(fact: Fact) -> bool:
     """True for the gci_nested facts box_t[C sub box_s[D => E]] with D = E
     or E = Top, which hold in every structure and are left implicit. Also
     accepts rule patterns: then true iff every instance is one."""
@@ -335,7 +335,7 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
         return None  # already Top: the plain variant's job
     matched = [_lift(p, (2,)) if j in twins else p
                for j, p in enumerate(premises)]
-    if _is_tautology(conclusion) or any(
+    if is_tautology(conclusion) or any(
             _generalizes(matched[j], conclusion)
             for j in range(len(premises)) if j not in families):
         return None
@@ -712,7 +712,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         rule, premises = store.provenance[fid]
         add(interned, rule, premises)
     for rule in RULES:
-        if not rule.premises and not _is_tautology(rule.conclusion):
+        if not rule.premises and not is_tautology(rule.conclusion):
             for fact in instantiate_conclusion(rule, {}, uni):
                 add(intern_fact(fact), rule.name, ())
     check_limit()
@@ -843,6 +843,34 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
 def is_refuted(store: FactStore) -> bool:
     """True iff the refutation fact was derived."""
     return REFUTATION_FACT in store
+
+
+def stored_form(store: FactStore, fact: Fact) -> Fact | None:
+    """The stored fact by which the saturated `store` holds `fact`: `fact`
+    itself, or else a stored generalization of it: a copy with Top for its
+    subject or with standpoints above its own at its generalizable
+    positions, along the store's sharper facts (`*` above every
+    standpoint), and for box_t[C sub box_s[D => E]] also with Bot for E,
+    as D is then empty; None when there is none. Saturation leaves the
+    twins implicit along a sub-order of these, so every fact of the full
+    closure that is not a tautology (`is_tautology`) has a stored form."""
+    if fact in store.fact_ids:
+        return fact
+    above: dict = {}
+    for _, s, u in store.by_shape.get("sharper", ()):
+        above.setdefault(s, []).append(u)
+    choices = [[term] for term in fact]
+    for k, top in _GENERAL.get(fact[0], ()):
+        term = fact[k]
+        choices[k] = list(dict.fromkeys(
+            [term, top] if top == TOPC else
+            [term, *above.get(term, ()), UNIVERSAL]))
+    if fact[0] == "gci_nested":
+        choices[5] = list(dict.fromkeys([fact[5], BOTC]))
+    for general in product(*choices):
+        if general in store.fact_ids:
+            return general
+    return None
 
 
 # ---------------------------------------------------------------------------

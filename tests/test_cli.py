@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import spel
+import spel.reasoner
 from spel import saturation
 from spel.cli import main
 from spel.normalize import normalize
@@ -100,6 +101,41 @@ def test_entail_queries(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip()]
     assert lines
     assert all(ln.endswith("ENTAILED") for ln in lines)
+
+
+def test_entail_json_says_who_decided(capsys, tmp_path):
+    """Example 2: five queries are read off the shared closure without a
+    subcheck, and `H & L <= 0` takes one refutation subcheck."""
+    code, out, _ = run(capsys, "entail", "--format", "json", EXAMPLE1,
+                       "--query", QUERIES)
+    assert code == 0
+    details = json.loads(out)["details"]
+    assert [(q["decided_by"], q["subcheck_count"], q["verdict"])
+            for q in details["queries"]] == [
+        ("closure", 0, "ENTAILED")] * 5 + [("refutation", 1, "ENTAILED")]
+    assert details["closure_fact_count"] > 0
+    # one query shares nothing: no closure is built
+    single = write(tmp_path, "q.spel", "box H { Patient(p1); }")
+    code, out, _ = run(capsys, "entail", "--format", "json", EXAMPLE1,
+                       "--query", single)
+    details = json.loads(out)["details"]
+    assert details["closure_fact_count"] is None
+    assert details["queries"][0]["decided_by"] == "refutation"
+
+
+def test_entail_kind_clash_is_usage_error(capsys, tmp_path, monkeypatch):
+    """A query that uses a name of the KB as another kind is a usage error,
+    reported before any saturation."""
+    def no_saturation(*args, **kwargs):
+        raise AssertionError("saturated before the usage error")
+    monkeypatch.setattr(spel.reasoner, "saturate", no_saturation)
+    kb = write(tmp_path, "kb.spel", "concept A; box * { B sub C; }")
+    query = write(tmp_path, "q.spel", "box A { B sub B; }")
+    code, out, err = run(capsys, "entail", kb, "--query", query)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "['A']" in err and "two kinds" in err
 
 
 def test_normalize_roundtrip(capsys, tmp_path):

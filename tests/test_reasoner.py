@@ -18,15 +18,20 @@ from spel.model import (
     make_kb,
 )
 from spel.parser import parse_kb
+from spel.preprocess import INPUT_RULE, REFUTATION_FACT, statement_to_fact
 from spel.reasoner import (
+    CLOSURE,
     ENTAILED,
     NOT_ENTAILED,
+    REFUTATION,
     SAT,
     UNSAT,
     NegatedFormula,
     check_sat,
     entails,
+    query_closure,
 )
+from spel.rules import apply_rule
 
 from genkb import TINY_PARAMS, generate_kb
 
@@ -196,3 +201,132 @@ def test_tiny_kb_entails_its_own_statements(seed, n):
     vacuously."""
     kb = generate_kb(seed, TINY_PARAMS)
     assert entails(kb, kb.statements[n]).verdict == ENTAILED
+
+
+def test_closure_answers_example2_with_replayable_proofs(example1_kb,
+                                                         queries_kb):
+    """Five Example 2 queries are read off one closure of example1 plus the
+    queries' definitions; the facts each rests on, stored targets or
+    their stored generalizations, replay through `apply_rule` down to the
+    input facts. `H & L <= 0` is left to refutation."""
+    queries = queries_kb.statements
+    closure = query_closure(example1_kb, queries)
+    answered = {}
+    for query in queries:
+        support = closure.support(query)
+        if support is not None:
+            answered[query] = support[1]
+    assert list(answered) == list(queries[:5])
+    store = closure.store
+    generalized = 0
+    for query, facts in answered.items():
+        assert len(facts) == 1
+        generalized += facts != [statement_to_fact(closure.forms[query])]
+        todo = [store.fact_ids[f] for f in facts]
+        seen = set()
+        while todo:
+            fid = todo.pop()
+            if fid in seen:
+                continue
+            seen.add(fid)
+            rule, premise_ids = store.provenance[fid]
+            if rule != INPUT_RULE:
+                premises = [store.facts[p] for p in premise_ids]
+                assert store.facts[fid] in apply_rule(rule, premises,
+                                                      store.universes)
+                todo.extend(premise_ids)
+    # Patient(p1) holds under H only through its copy under SN
+    assert generalized >= 1
+    assert closure.support(queries[5]) is None
+
+
+def test_unsat_kb_answers_its_queries_from_the_refuted_closure():
+    kb = make_kb([
+        boxed(UNIVERSAL, GCI(TOP, BOT)),
+        boxed("s", ConceptAssertion(Name("A"), "a")),
+    ])
+    queries = [boxed("s", ConceptAssertion(Name("B"), "a")),
+               boxed("s", GCI(Name("A"), Name("B")))]
+    closure = query_closure(kb, queries)
+    for query in queries:
+        res = entails(kb, query, closure=closure)
+        assert (res.verdict, res.decided_by, res.subchecks) == (
+            ENTAILED, CLOSURE, [])
+    assert closure.support(queries[0]) == (None, [REFUTATION_FACT])
+
+
+def test_closure_reports_the_witness_of_a_diamond_monomial():
+    """dia_s over two assertions holds through the standpoint u below s
+    whose box holds both; the closure names u as the witness. Without
+    u <= s, u witnesses nothing, and the query is not entailed."""
+    boxed_u = ModalFormula(BOX, "u", (lit(ConceptAssertion(Name("A"), "a")),
+                                      lit(ConceptAssertion(Name("B"), "a"))))
+    monomial = ModalFormula(DIA, "s", boxed_u.literals)
+    queries = [monomial, boxed("u", ConceptAssertion(Name("A"), "a"))]
+    kb = make_kb([Sharpening(False, ("u",), "s"), boxed_u])
+    res = entails(kb, monomial, closure=query_closure(kb, queries))
+    assert (res.verdict, res.decided_by, res.witness_standpoint) == (
+        ENTAILED, CLOSURE, "u")
+    assert entails(kb, monomial).verdict == ENTAILED
+    kb = make_kb([boxed_u], declared=kb.vocabulary)
+    res = entails(kb, monomial, closure=query_closure(kb, queries))
+    assert (res.verdict, res.decided_by) == (NOT_ENTAILED, REFUTATION)
+
+
+def test_closure_reads_complex_concepts_on_either_side():
+    """Complex concepts on the left and the right of a GCI, and in an
+    assertion, are read through their definitions: each query is decided
+    by the closure."""
+    kb = parse_kb("box s { A sub B; ex r . B sub C; C sub ex q . D; A(a); "
+                  "r(a, b); }")
+    queries = parse_kb("box s { ex r . A sub C; } "
+                       "box s { A and C sub ex q . (D and Top); } "
+                       "box s { (ex r . Top)(a); }").statements
+    closure = query_closure(kb, queries)
+    for query in queries:
+        res = entails(kb, query, closure=closure)
+        assert (res.verdict, res.decided_by) == (ENTAILED, CLOSURE), query
+
+
+def test_closure_needs_two_queries_of_its_own():
+    kb = make_kb([boxed("s", ConceptAssertion(Name("A"), "a"))])
+    own = boxed("s", ConceptAssertion(Name("A"), "a"))
+    negated = ModalFormula(BOX, "s", (lit(ConceptAssertion(Name("B"), "a"),
+                                          negated=True),))
+    assert query_closure(kb, [own, negated]) is None
+    assert query_closure(kb, [own, Sharpening(False, ("s",), UNIVERSAL)])
+
+
+#: `box * { Top sub Zq; }`, over a concept no generated KB uses
+FRESH_QUERY = boxed(UNIVERSAL, GCI(TOP, Name("Zq")))
+
+
+def test_shared_closure_agrees_with_each_query_alone():
+    """Differential: over tiny seeds 0-59, each KB against its own
+    statements, those of seed + 1000 and a fresh-name query, answering
+    with one shared closure gives each query the verdict it gets alone.
+    A query the closure leaves undecided is answered by the same
+    refutation as alone, so only the decided ones run twice. Queries
+    whose refutation raises (fault (a)) are skipped."""
+    decided = total = 0
+    for seed in range(60):
+        kb = generate_kb(seed, TINY_PARAMS)
+        queries = tuple(dict.fromkeys(
+            kb.statements + generate_kb(seed + 1000, TINY_PARAMS).statements
+            + (FRESH_QUERY,)))
+        closure = query_closure(kb, queries)
+        for query in queries:
+            try:
+                shared = entails(kb, query, closure=closure)
+                alone = entails(kb, query) if shared.decided_by == CLOSURE \
+                    else shared
+            except ValueError as exc:
+                assert "declared with two kinds" in str(exc)
+                continue
+            total += 1
+            if shared.decided_by == CLOSURE:
+                decided += 1
+                assert alone.verdict == shared.verdict == ENTAILED, (
+                    seed, query)
+    assert total >= 300
+    assert 3 * decided >= total, (decided, total)

@@ -39,6 +39,7 @@ from spel.saturation import (
     polynomial_fact_bound,
     refutation_trace,
     saturate,
+    stored_form,
 )
 
 from conftest import informative_closure
@@ -142,6 +143,28 @@ def test_input_order_independence():
             closures.append(informative_closure(out.facts, out.universes))
         assert closures[0] == closures[1] == closures[2], \
             f"seed {seed} diverges"
+
+
+def test_stored_form_reads_the_informative_closure():
+    """A fact has a stored form exactly when it, or its copy with Bot for
+    E, is in the informative closure (`conftest.informative_closure`), on
+    the full closures of tiny seeds 0-9: probed with every fact of that
+    set and with each stored gci_nested one with another concept for D."""
+    for seed in range(10):
+        out = saturate(prep(generate_kb(seed, TINY_PARAMS)),
+                       early_exit_on_refutation=False)
+        closure = informative_closure(out.facts, out.universes)
+        concepts = sorted(out.universes.concepts, key=repr)
+        probes = set(closure) | {
+            f[:4] + (d,) + f[5:] for f in out.facts if f[0] == "gci_nested"
+            for d in concepts}
+        for fact in probes:
+            held = fact in closure or fact[0] == "gci_nested" and (
+                fact[:5] + (BOTC,) in closure)
+            if fact[0] == "gci_nested" and (fact[4] == fact[5]
+                                            or fact[5] == TOPC):
+                continue  # a tautology: no stored form needed
+            assert (stored_form(out, fact) is not None) == held, (seed, fact)
 
 
 def test_input_fact_outside_the_universes_is_rejected():
