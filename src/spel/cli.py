@@ -111,10 +111,10 @@ def _cmd_entail(args):
     overall = ("ENTAILED" if results
                and all(r["verdict"] == "ENTAILED" for r in results)
                else "NOT_ENTAILED" if results else None)
-    built = closure is not None and closure.store is not None
     return overall, None, {
         "queries": results,
-        "closure_fact_count": len(closure.store) if built else None,
+        "closure_fact_count": (None if closure is None
+                               else closure.fact_count),
     }, lines
 
 

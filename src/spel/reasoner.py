@@ -118,12 +118,20 @@ class QueryClosure:
         self._names: dict[tuple, tuple[Name, Statement]] = {}
         #: per query the closure can read, the query with the names in place
         self.forms: dict[Query, Statement] = {}
+        #: how many of `queries` are the closure's and not yet answered
+        self._left = 0
         for query in queries:
             form = self._form(query)
             if form is not None:
                 self.forms[query] = form
-        #: the saturated store, once a query has needed it
+                self._left += 1
+        #: the saturated store, from when a query first needs it until the
+        #: last of the closure's queries is answered
         self.store: FactStore | None = None
+        #: whether the saturation was refuted, and how many facts it stored;
+        #: None until it has run
+        self.refuted: bool | None = None
+        self.fact_count: int | None = None
         #: the standpoints of the normalized KB, the diamond candidates
         self._standpoints: list[str] = []
 
@@ -162,15 +170,15 @@ class QueryClosure:
         return ModalFormula(query.op, query.standpoint, tuple(
             Literal(False, self._named(lit.axiom)) for lit in query.literals))
 
-    def _saturate(self) -> FactStore:
-        if self.store is None:
-            normal = normalize(self._kb.with_statements(
-                [definition for _, definition in self._names.values()]))
-            self._standpoints = sorted(
-                occurring_vocabulary(normal.statements).standpoint_names)
-            self.store = saturate(add_witness_axioms(to_extended_facts(
-                normal)), fact_limit=self._fact_limit)
-        return self.store
+    def _saturate(self) -> None:
+        normal = normalize(self._kb.with_statements(
+            [definition for _, definition in self._names.values()]))
+        self._standpoints = sorted(
+            occurring_vocabulary(normal.statements).standpoint_names)
+        self.store = saturate(add_witness_axioms(to_extended_facts(normal)),
+                              fact_limit=self._fact_limit)
+        self.refuted = is_refuted(self.store)
+        self.fact_count = len(self.store)
 
     def _held(self, facts: list[Fact]) -> list[Fact] | None:
         """The stored forms of `facts` (a tautology needs none), or None
@@ -191,14 +199,25 @@ class QueryClosure:
         are the refutation fact of a refuted closure, or else the stored
         forms of the query's facts and, for a diamond at s with witness
         u, of sharper(u, s) when u is not s. The closure is saturated here
-        when `query` is its own and it was not yet."""
+        when `query` is its own and it was not yet, and its store is
+        released once the last of its own queries is answered."""
         form = self.forms.get(query)
-        if form is None and self.store is None:
-            return None
-        store = self._saturate()
-        if is_refuted(store):
+        if form is not None and self.refuted is None:
+            self._saturate()
+        answer = self._read(form)
+        if form is not None:
+            self._left -= 1
+            if self._left <= 0:
+                self.store = None
+        return answer
+
+    def _read(self, form: Statement | None
+              ) -> tuple[str | None, list[Fact]] | None:
+        """`support` of the query whose form is `form` (None for one not
+        the closure's)."""
+        if self.refuted:
             return None, [REFUTATION_FACT]
-        if form is None:
+        if form is None or self.store is None:
             return None
         if isinstance(form, Sharpening):
             held = self._held([statement_to_fact(form)])

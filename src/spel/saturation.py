@@ -15,8 +15,9 @@ Two kinds of fact are implicit, neither stored nor joined:
   to Top (by C.2), and the outer standpoint of every shape S.3 lifts and
   the inner standpoint of a gci_nested fact to the standpoints above them
   in the run's seed sharpening order (by S.3 and S.4): the closure of its
-  input sharper facts and T.1, `*` on top, whose up-sets are chains
-  (`_seed_order`). Sharpenings that S.2 derives mid-walk are not in it.
+  input sharper facts and T.1, `*` on top, with standpoints that sharpen
+  each other left unordered (`_seed_order`). Sharpenings that S.2 derives
+  mid-walk are not in it.
 A join matches them instead. It generates a tautology premise from its
 bound variables (a join of tautologies only runs once, before the walk).
 A planned variant matches a premise with an unbound subject through a
@@ -26,10 +27,11 @@ over the universe. The compiled lookups match the rest at run time:
 - a standpoint variable first bound at an open position (generalizable,
   where the premise with the top is no generalization of the conclusion)
   is a ceiling: its value w stands for every s <= w. A later open
-  position accepts a standpoint comparable with w and goes on with the
-  lower one, the greatest common lower bound of the two as up-sets are
-  chains; a later position that is not open accepts an s <= w, which the
-  variable holds from then on. The conclusion takes the value reached.
+  position holding u goes on with each greatest common lower bound of w
+  and u (the lower one when they are comparable, none when nothing lies
+  below both), as the ceiling's value; a later position that is not open
+  accepts an s <= w, which the variable holds from then on. The
+  conclusion takes the value reached.
   Tables are keyed without ceilings, and their candidates are filtered;
 - a variable first bound elsewhere accepts its up-set at a later open
   position.
@@ -160,15 +162,15 @@ _GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
 
 
 class _Order(NamedTuple):
-    """A run's seed sharpening order over interned standpoints. Two
-    standpoints that sharpen each other are left unordered, and one below
-    two unordered ones is put below `*` only, so that every up-set is a
-    chain (both only leave more facts stored)."""
+    """A run's seed sharpening order over interned standpoints: the
+    reachability order of its input sharper facts and T.1, `*` on top. Two
+    standpoints that sharpen each other are left unordered (which only
+    leaves more facts stored)."""
     #: per standpoint, itself and then the standpoints strictly above it
     up: dict[int, tuple[int, ...]]
-    #: per standpoint w, the lower of w and each standpoint comparable
-    #: with it
-    meet: dict[int, dict[int, int]]
+    #: per standpoints w and u with a common lower bound, the greatest
+    #: ones: (the lower,) when the two are comparable
+    meet: dict[int, dict[int, tuple[int, ...]]]
     #: per standpoint, those its input sharper facts put it directly below
     edges: dict[int, list[int]]
 
@@ -189,20 +191,22 @@ def _seed_order(standpoints: list[int], sharpers) -> _Order:
                     seen.add(u)
                     stack.append(u)
         reach[s] = seen
-    above = {s: frozenset(u for u in reach[s] if u != s and s != _STAR and (
-        u == _STAR or s not in reach[u])) for s in standpoints}
-    # a standpoint below two that are not ordered generalizes to `*` only,
-    # so that every up-set is a chain
-    meets = [s for s in standpoints
-             if any(a != b and a not in above[b] and b not in above[a]
-                    for a in above[s] for b in above[s])]
-    for s in meets:
-        above[s] = frozenset({_STAR})
-    up = {s: (s,) + tuple(u for u in standpoints if u in above[s])
+    up = {s: (s,) + tuple(u for u in standpoints if u in reach[s] and u != s
+                          and s != _STAR and (u == _STAR or s not in reach[u]))
           for s in standpoints}
-    meet = {w: {**{u: w for u in up[w]},
-                **{s: s for s in standpoints if w in above[s]}}
-            for w in standpoints}
+    # s is a common lower bound of every pair in its up-set, and the
+    # greatest ones have no other above them
+    lower: dict[int, dict[int, list[int]]] = {w: {} for w in standpoints}
+    for s in standpoints:
+        for w in up[s]:
+            for u in up[s]:
+                lower[w].setdefault(u, []).append(s)
+    meet: dict[int, dict[int, tuple[int, ...]]] = {w: {} for w in standpoints}
+    for w, pairs in lower.items():
+        for u, low in pairs.items():
+            low_set = set(low)
+            meet[w][u] = tuple(s for s in low
+                               if low_set.isdisjoint(up[s][1:]))
     return _Order(up, meet, edges)
 
 
@@ -301,6 +305,8 @@ class _Plan(NamedTuple):
     """One join variant of a rule, as `_join_plan` makes it."""
     #: the premise the fact reached fills, or None for a join without one
     start: int | None
+    #: the stored premises after it, in the order they are looked up
+    order: tuple[int, ...]
     premises: tuple
     conclusion: tuple
     #: the premises that are implicit tautologies, generated
@@ -339,9 +345,11 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
             _generalizes(matched[j], conclusion)
             for j in range(len(premises)) if j not in families):
         return None
-    # the join order: the reached premise, then the other stored ones
-    order = [j for j in range(len(premises))
-             if j != i and j not in families]
+    # the join order: the reached premise, then the other stored ones,
+    # those of the small tables before the large gci_nested ones
+    order = sorted((j for j in range(len(premises))
+                    if j != i and j not in families),
+                   key=lambda j: premises[j][0] == "gci_nested")
     bound: set[str] = set()
     opened = []
     for j in ([] if i is None else [i]) + order:
@@ -361,8 +369,8 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
     if any(isinstance(premises[j][2], Var)
            and premises[j][2].name not in elsewhere for j in twins):
         return None
-    return _Plan(i, premises, conclusion, tuple(sorted(families)),
-                 tuple(twins), tuple(opened))
+    return _Plan(i, tuple(order), premises, conclusion,
+                 tuple(sorted(families)), tuple(twins), tuple(opened))
 
 
 def _is_standpoint(shape: str, k: int) -> bool:
@@ -475,8 +483,7 @@ def _compile_join(rule: Rule, plan: _Plan):
                 continue
             name = names[p.name]
             if p.name in ceiling and (j, k) in opened:
-                bind(p.name, f"MEET[{name}].get({term}, -1)", True)
-                lines.append(f"{ind}if {names[p.name]} < 0: {bail()}")
+                loop(rename(p.name, True), f"MEET[{name}].get({term}, ())")
             elif p.name in ceiling and _is_standpoint(pat[0], k):
                 lines.append(f"{ind}if {name} not in UP[{term}]: {bail()}")
                 bind(p.name, term, False)
@@ -498,7 +505,7 @@ def _compile_join(rule: Rule, plan: _Plan):
     # Stored premises are looked up in tables of facts reached so far, or
     # by membership when every position is bound; generated ones are
     # built afterwards from their free variables.
-    for j in (k for k in stored if k != i):
+    for j in plan.order:
         pat = matched[j]
         keyed, key_exprs = [], []
         for k, p in enumerate(pat[1:], start=1):

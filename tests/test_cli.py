@@ -12,8 +12,9 @@ import spel
 import spel.reasoner
 from spel import saturation
 from spel.cli import main
+from spel.model import occurring_vocabulary
 from spel.normalize import normalize
-from spel.parser import parse_kb
+from spel.parser import parse_kb, render_statement
 
 from conftest import FIXTURES
 
@@ -121,6 +122,37 @@ def test_entail_json_says_who_decided(capsys, tmp_path):
     details = json.loads(out)["details"]
     assert details["closure_fact_count"] is None
     assert details["queries"][0]["decided_by"] == "refutation"
+
+
+def test_entail_json_counts_the_released_closure(capsys):
+    """The shared closure releases its store after its last query; the
+    JSON output still counts the facts that store held, and is otherwise
+    what it was with the store kept."""
+    code, out, _ = run(capsys, "entail", "--format", "json", EXAMPLE1,
+                       "--query", QUERIES)
+    assert code == 0
+    result = json.loads(out)
+    del result["elapsed_ms"]
+    kb, queries = (parse_kb(pathlib.Path(p).read_text())
+                   for p in (EXAMPLE1, QUERIES))
+    kb.vocabulary.merge(occurring_vocabulary(queries.statements))
+    closure = spel.reasoner.query_closure(kb, queries.statements)
+    closure.support(queries.statements[0])
+    held = len(closure.store)
+    assert result == {
+        "command": "entail",
+        "input": EXAMPLE1,
+        "verdict": "ENTAILED",
+        "fact_count": None,
+        "details": {
+            "queries": [
+                {"query": render_statement(query), "verdict": "ENTAILED",
+                 "decided_by": "closure" if n < 5 else "refutation",
+                 "subcheck_count": 0 if n < 5 else 1}
+                for n, query in enumerate(queries.statements)],
+            "closure_fact_count": held,
+        },
+    }
 
 
 def test_entail_kind_clash_is_usage_error(capsys, tmp_path, monkeypatch):

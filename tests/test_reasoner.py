@@ -208,16 +208,20 @@ def test_closure_answers_example2_with_replayable_proofs(example1_kb,
     """Five Example 2 queries are read off one closure of example1 plus the
     queries' definitions; the facts each rests on, stored targets or
     their stored generalizations, replay through `apply_rule` down to the
-    input facts. `H & L <= 0` is left to refutation."""
+    input facts. `H & L <= 0` is left to refutation. The closure releases
+    its store once the last of its five queries is answered, and keeps its
+    fact count."""
     queries = queries_kb.statements
     closure = query_closure(example1_kb, queries)
-    answered = {}
+    answered, store = {}, None
     for query in queries:
         support = closure.support(query)
+        if store is None:
+            store = closure.store
         if support is not None:
             answered[query] = support[1]
     assert list(answered) == list(queries[:5])
-    store = closure.store
+    assert closure.store is None and closure.fact_count == len(store)
     generalized = 0
     for query, facts in answered.items():
         assert len(facts) == 1
@@ -252,6 +256,8 @@ def test_unsat_kb_answers_its_queries_from_the_refuted_closure():
         res = entails(kb, query, closure=closure)
         assert (res.verdict, res.decided_by, res.subchecks) == (
             ENTAILED, CLOSURE, [])
+    # the store is released, and the closure still answers as refuted
+    assert closure.store is None and closure.refuted
     assert closure.support(queries[0]) == (None, [REFUTATION_FACT])
 
 

@@ -89,14 +89,19 @@ def reference_fixpoint(store) -> set:
 #: at H <= SN: the chain inclusion's standpoint, a ceiling, is lowered to
 #: H. In "cycle" A and B sharpen each other and both hold C sub D: neither
 #: may stand for the other, or the walk would skip both. In "meet" M lies
-#: below H and L, which are unordered, so only `*` stands above M: a
-#: chain inclusion at `*` joins the copies at M of an H fact and an L
-#: fact. In "C.4" the last fact, D sub E at SN, meets C sub dia H D, whose
-#: inner standpoint is not generalizable: the ceiling SN accepts H below
-#: it. In "C.1" the last fact, C sub D at SN, is lowered by D sub E at H,
-#: and in "C.1 reversed" D sub E at SN by C sub D at H, so that each
-#: premise of C.1 holds the ceiling once. "chain" does both over two
-#: levels, M <= H <= SN.
+#: below H and L, which are unordered: a chain inclusion at `*` joins an H
+#: fact and an L fact, whose ceilings meet at M. In "two meets" M1 and M2
+#: both lie below H and L, so such a join lands at each of them, and C sub
+#: E at L with E sub D at H meet there too. In "meet below meet" the
+#: greatest lower bound of M (below H and L) and K is N, and in "cycle
+#: meet" C0 lies below A and B, which sharpen each other. "Example 2
+#: shape" has V below H and L, both below SN, where S and P are disjoint:
+#: U sub Bot at V comes from facts at V, H, L and SN. In "C.4" the last
+#: fact, D sub E at SN, meets C sub dia H D, whose inner standpoint is not
+#: generalizable: the ceiling SN accepts H below it. In "C.1" the last
+#: fact, C sub D at SN, is lowered by D sub E at H, and in "C.1 reversed"
+#: D sub E at SN by C sub D at H, so that each premise of C.1 holds the
+#: ceiling once. "chain" does both over two levels, M <= H <= SN.
 ORDER_KBS = {
     "E.2": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
            "concept E; box SN { C sub ex R . D; } box H { D sub ex R . E; } "
@@ -110,6 +115,26 @@ ORDER_KBS = {
     "meet": "standpoint H; standpoint L; standpoint M; concept C; "
             "concept D; M <= H; M <= L; box H { C sub ex R . D; } "
             "box L { D sub ex R . C; } box * { R o R sub Q; }",
+    "two meets": "standpoint H; standpoint L; standpoint M1; "
+                 "standpoint M2; concept C; concept D; concept E; "
+                 "M1 <= H; M1 <= L; M2 <= H; M2 <= L; "
+                 "box H { C sub ex R . D; } box L { D sub ex R . E; } "
+                 "box * { R o R sub Q; } box L { C sub E; } "
+                 "box H { E sub D; }",
+    "meet below meet": "standpoint H; standpoint L; standpoint M; "
+                       "standpoint N; standpoint K; concept C; concept D; "
+                       "concept E; M <= H; M <= L; N <= M; N <= K; "
+                       "box H { C sub ex R . D; } box L { D sub ex R . E; } "
+                       "box K { R o R sub Q; }",
+    "cycle meet": "standpoint A; standpoint B; standpoint C0; concept C; "
+                  "concept D; concept E; A <= B; B <= A; C0 <= A; C0 <= B; "
+                  "box A { C sub ex R . D; } box B { D sub ex R . E; } "
+                  "box * { R o R sub Q; }",
+    "Example 2 shape": "standpoint H; standpoint L; standpoint SN; "
+                       "standpoint V; concept S; concept P; concept T; "
+                       "concept U; H <= SN; L <= SN; V <= H; V <= L; "
+                       "box SN { S and P sub Bot; } box H { T sub S; } "
+                       "box L { T sub P; } box V { U sub T; }",
     "C.4": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
            "concept E; box * { C sub dia H D; } box SN { D sub E; }",
     "C.1": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "

@@ -7,6 +7,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spel import saturation
 from spel.model import (
@@ -20,6 +22,7 @@ from spel.model import (
     boxed,
     make_kb,
 )
+from spel.parser import parse_kb
 from spel.preprocess import (
     BOTC,
     FACT_SHAPES,
@@ -44,6 +47,7 @@ from spel.saturation import (
 
 from conftest import informative_closure
 from genkb import TINY_PARAMS, generate_kb
+from test_reference_fixpoint import ORDER_KBS
 
 
 def fresh_store(facts=(), **uni):
@@ -311,6 +315,44 @@ def test_every_derivation_replays():
         assert out.facts[fid] in conclusions, f"fact {fid} fails replay under {rule}"
 
 
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, n), st.integers(0, n)), max_size=3 * n).map(
+        lambda pairs: (n, pairs))))
+def test_seed_order_is_reachability_with_cycles_unordered(graph):
+    """On a random sharpening graph over `*` and n standpoints, cycles
+    included, the up-set of s holds s and every standpoint u it reaches
+    that does not reach s back (`*` above all others, and its own edges,
+    which would put it on a cycle, not followed), and the meet of w and u
+    holds the greatest of their common lower bounds, none when there is
+    none."""
+    n, pairs = graph
+    star = saturation._STAR
+    ids = [star] + [10 + k for k in range(n)]
+    order = saturation._seed_order(ids, [("sharper", ids[a], ids[b])
+                                         for a, b in pairs])
+    reach = {s: {s, star} for s in ids}
+    for _ in ids:
+        for a, b in pairs:
+            for s in ids:
+                if ids[a] in reach[s] and ids[a] != star:
+                    reach[s] |= reach[ids[b]] | {ids[b]}
+    below = {(s, u) for s in ids for u in ids if s != u and s != star and (
+        u == star or u in reach[s] and s not in reach[u])}
+    for s in ids:
+        assert order.up[s][0] == s
+        assert set(order.up[s][1:]) == {u for u in ids if (s, u) in below}
+    at_or_below = below | {(s, s) for s in ids}
+    for w in ids:
+        for u in ids:
+            lower = {s for s in ids
+                     if (s, w) in at_or_below and (s, u) in at_or_below}
+            greatest = {s for s in lower
+                        if not any((s, t) in below for t in lower)}
+            got = order.meet[w].get(u, ())
+            assert len(got) == len(set(got)) and set(got) == greatest, (w, u)
+
+
 def seed_order(store):
     """Per standpoint, those at or above it in the reflexive-transitive
     closure of the input sharper facts of a saturated store, and `*`."""
@@ -374,6 +416,44 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
     assert sum(steps["S.3"] for steps in twin_steps), twin_steps
     assert sum(steps["S.4"] for steps in twin_steps), twin_steps
     assert sum(steps["named"] for steps in twin_steps), twin_steps
+
+
+def test_every_derivation_replays_with_twins_at_meets(example1_kb,
+                                                     queries_kb):
+    """Every provenance entry replays in the full closures of two KBs with
+    a standpoint below two unordered ones (a meet): Example 2's KB with
+    the refuting statement of `H & L <= 0`, whose fresh standpoint lies
+    below H and L, and the reference KB "two meets". Each holds a twin at
+    a meet derived by S.3 or S.4 from its stored copy at a named
+    standpoint above the meet, and every such twin is stored only as the
+    premise of a later fact: no join concludes one."""
+    query = queries_kb.statements[-1]
+    kbs = [example1_kb.with_statements(
+        [Sharpening(not query.negated, query.lhs, query.rhs)]),
+        parse_kb(ORDER_KBS["two meets"])]
+    for kb in kbs:
+        out = saturate(prep(kb), early_exit_on_refutation=False)
+        up = seed_order(out)
+        meets = {s for s in up if any(
+            a not in up[b] and b not in up[a]
+            for a in up[s] - {s} for b in up[s] - {s})}
+        assert meets
+        lifted = []
+        for fid, (rule, premise_ids) in enumerate(out.provenance):
+            if rule == INPUT_RULE:
+                continue
+            fact = out.facts[fid]
+            premises = [out.facts[p] for p in premise_ids]
+            assert fact in apply_rule(rule, premises, out.universes), \
+                f"fact {fid} fails replay under {rule}"
+            k = 3 if rule == "S.4" else 1
+            if (rule.split(":")[0] in ("S.3", "S.4") and fact[k] in meets
+                    and premises[1][2] not in (fact[k], UNIVERSAL)
+                    and premises[0] == fact[:k] + (premises[1][2],)
+                    + fact[k + 1:]):
+                lifted.append(fid)
+        used = {p for _, premise_ids in out.provenance for p in premise_ids}
+        assert lifted and used.issuperset(lifted), kb
 
 
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
@@ -454,6 +534,26 @@ def test_join_variants_stay_few():
                for joins in saturation._dispatch(shape).values()
                for rule, plan in joins}
     assert len(planned) + len(saturation._joins(None)) <= 140
+
+
+def test_joins_look_up_small_tables_first():
+    """Every planned variant looks up its stored premises after the reached
+    one with those not gci_nested first, in rule order otherwise: the
+    gci_con_left, ria and role_assertion tables are small, the gci_nested
+    ones large. E.4 from its gci_nested premise is one variant so
+    reordered."""
+    reordered = set()
+    for shape in (None, *FACT_SHAPES):
+        for joins in saturation._dispatch(shape).values():
+            for rule, plan in joins:
+                stored = set(range(len(plan.premises))) - set(
+                    plan.implicit) - {plan.start}
+                assert set(plan.order) == stored
+                assert list(plan.order) == sorted(plan.order, key=lambda j: (
+                    plan.premises[j][0] == "gci_nested", j)), rule.name
+                if list(plan.order) != sorted(plan.order):
+                    reordered.add(rule.name)
+    assert "E.4" in reordered, reordered
 
 
 def test_refutation_trace_replayable():
