@@ -122,9 +122,9 @@ class FactStore:
 
     Monotone: facts are only ever added. Each fact gets a dense integer id;
     provenance maps id -> (rule name, premise ids), with rule "input" and
-    no premises for seeds. Saturation runs on a store of interned facts
-    (terms replaced by integers), joined through index tables of the run's
-    own, and returns a readable one; the class is the same.
+    no premises for seeds. Saturation reads one and returns a new one;
+    while it runs, it keeps its interned facts (terms replaced by
+    integers), their ids and provenance in plain lists and dicts.
     """
 
     def __init__(self, universes: Universes | None = None) -> None:

@@ -53,12 +53,21 @@ explicit: the calculus has no schema for them.
 
 Each variant is planned with the pattern operations of `rules` and
 compiled, once per process and on first use, into a closure of plain
-loops and tuple accesses, which runs on the facts reached of its kind:
-their shape and, for gci_nested, whether the subject is Top. Each run
-interns its universes' terms to integers in tables of its own (only `*`,
-Top and Bot, which the compiled joins hold, have fixed ids), so runs share
-no mutable state and may go on side by side in threads; it decodes its
-store once at the end.
+loops and tuple accesses, which runs on the facts reached of the kinds
+its reached premise admits. A kind is a fact's shape and, for gci_nested,
+whether its subject is Top, its D is Top and its E is Bot
+(`_KIND_SPOTS`), so a variant with one of these constants there runs only
+on the facts that hold it.
+
+Each run interns its universes' terms to integers in tables of its own
+(only `*`, Top and Bot, which the compiled joins hold, have fixed ids),
+so runs share no mutable state and may go on side by side in threads. It
+keeps its store in plain locals: the fact list, ids and provenance, and
+per key of the positions no generalization moves (`_unmoved`) the number
+of facts stored there. The test for a stored generalization
+(`_generalization_lookup`) probes the up-sets only under a key that holds
+a stored fact other than the fact itself. The run decodes its store into
+a `FactStore` once at the end.
 
 The universes fix the fact space (`preprocess.FACT_SHAPES`), and an input
 fact naming a term outside them is an error. So a run is bounded by the
@@ -68,7 +77,7 @@ a lower limit. Both count stored facts, and the error says which tripped.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -120,6 +129,7 @@ _FIXED_TERMS = (UNIVERSAL, TOPC, BOTC)
 _FIXED_IDS = {t: i for i, t in enumerate(_FIXED_TERMS)}
 _STAR = _FIXED_IDS[UNIVERSAL]
 _TOP = _FIXED_IDS[TOPC]
+_BOT = _FIXED_IDS[BOTC]
 
 #: per nested concept tag, the names of the run's maps from the concept id
 #: to its individual/role id and back, as the compiled joins name them
@@ -159,6 +169,12 @@ _GENERAL["gci_nested"] = ((2, TOPC), (1, UNIVERSAL), (3, UNIVERSAL))
 #: the same, with the tops' fixed ids, for interned facts
 _GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
                 for shape, spots in _GENERAL.items()}
+
+#: The gci_nested positions, with their constants, that key a fact's kind
+#: beyond its shape: whether its subject is Top, D is Top and E is Bot.
+#: A join whose reached premise holds such a constant runs only on the
+#: facts that hold it too.
+_KIND_SPOTS = ((2, TOPC), (4, TOPC), (5, BOTC))
 
 
 class _Order(NamedTuple):
@@ -232,31 +248,51 @@ def _generalizes(general: tuple, fact: tuple) -> bool:
                                                                     fact)))
 
 
-def _generalization(fact: tuple, up: dict, stored) -> tuple | None:
-    """A strict generalization of the interned `fact` in `stored`, or None:
-    a copy with Top for its subject, or with a standpoint of the up-set
-    `up` of its own at each standpoint position (`_GENERAL`), Top-subject
-    copies first."""
+def _unmoved(fact: tuple) -> tuple | None:
+    """The positions of an interned fact that no generalization moves, the
+    key of its generalizations: (C, D, E) for a gci_nested fact, the shape
+    and the positions after the outer standpoint for a shape S.3 lifts,
+    None for the others."""
     shape = fact[0]
     if shape == "gci_nested":
-        _, t, c, s, d, e = fact
-        ts, ss = up[t], up[s]
-        if c != _TOP:
-            for t2 in ts:
-                for s2 in ss:
-                    if (shape, t2, _TOP, s2, d, e) in stored:
-                        return shape, t2, _TOP, s2, d, e
-        for t2 in ts:
-            for s2 in ss:
-                if (shape, t2, c, s2, d, e) in stored and (t2 != t
-                                                            or s2 != s):
-                    return shape, t2, c, s2, d, e
-    elif shape in _GENERAL_IDS:
-        rest = fact[2:]
-        for u in up[fact[1]][1:]:
-            if (shape, u) + rest in stored:
-                return (shape, u) + rest
-    return None
+        return fact[2], fact[4], fact[5]
+    return fact[:1] + fact[2:] if shape in _GENERAL_IDS else None
+
+
+def _generalization_lookup(up: dict, stored: dict, count: dict):
+    """The run's lookup general_of(fact, is_stored=False) of a strict
+    generalization of the interned `fact` in `stored`, or None: a copy with
+    Top for its subject, or with a standpoint of the up-set `up` of its own
+    at each standpoint position (`_GENERAL`), Top-subject copies first.
+    `count` maps each key (`_unmoved`) to the number of facts stored there:
+    a loop whose key has no stored fact but the fact itself (`is_stored`
+    tells whether it is one) is skipped."""
+
+    def general_of(fact: tuple, is_stored: bool = False) -> tuple | None:
+        shape = fact[0]
+        if shape == "gci_nested":
+            _, t, c, s, d, e = fact
+            ts, ss = up[t], up[s]
+            if c != _TOP and (_TOP, d, e) in count:
+                for t2 in ts:
+                    for s2 in ss:
+                        if (shape, t2, _TOP, s2, d, e) in stored:
+                            return shape, t2, _TOP, s2, d, e
+            if count.get((c, d, e), 0) > is_stored:
+                for t2 in ts:
+                    for s2 in ss:
+                        if (shape, t2, c, s2, d, e) in stored and (
+                                t2 != t or s2 != s):
+                            return shape, t2, c, s2, d, e
+        elif shape in _GENERAL_IDS:
+            rest = fact[2:]
+            if count.get(fact[:1] + rest, 0) > is_stored:
+                for u in up[fact[1]][1:]:
+                    if (shape, u) + rest in stored:
+                        return (shape, u) + rest
+        return None
+
+    return general_of
 
 
 def _implicit_step(fact: tuple, general: tuple | None) -> tuple[str, tuple]:
@@ -385,7 +421,8 @@ def _compile_join(rule: Rule, plan: _Plan):
     None for a join without one). `index(shape, positions)` gives the run's
     index tables of the facts reached so far; `maps` holds its nominal,
     self-loop and seed order maps (`UP`, `MEET`), a subject's probes
-    (`ALT_C`) and its lookup of a stored generalization (`GENERAL`)."""
+    (`ALT_C`) and `GENERAL`, its indexed lookup of a stored strict
+    generalization of a conclusion (`_generalization_lookup`)."""
     i, premises, conclusion = plan.start, plan.premises, plan.conclusion
     twins, opened = plan.twins, set(plan.open)
     implicit = list(plan.implicit)
@@ -493,9 +530,9 @@ def _compile_join(rule: Rule, plan: _Plan):
                 lines.append(f"{ind}if {term} != {name}: {bail()}")
 
     if i is not None:
-        # its kind fixes whether a gci_nested subject is Top
-        subject = 2 if matched[i][0] == "gci_nested" else None
-        match("fact", tuple(None if (k, p) == (subject, TOPC) else p
+        # its kind fixes the constants at a gci_nested fact's `_KIND_SPOTS`
+        fixed = _KIND_SPOTS if matched[i][0] == "gci_nested" else ()
+        match("fact", tuple(None if (k, p) in fixed else p
                             for k, p in enumerate(matched[i])), i)
         for k, top in _GENERAL_IDS.get(matched[i][0], ()):
             if isinstance(matched[i][k], Var) and (i, k) not in opened:
@@ -614,15 +651,37 @@ def _modes(rule: Rule, i: int | None):
             yield families, twins
 
 
+def _keys(plan: _Plan, shape: str | None) -> list[tuple[bool, ...]]:
+    """The keys of `_dispatch` that `plan`'s reached premise admits: for
+    gci_nested, each (subject is Top, D is Top, E is Bot) that a fact
+    matching it can have (`_KIND_SPOTS`). A constant, a nominal or a twin's
+    Top subject there fixes the test, a variable leaves it open, except
+    that a twin's subject variable is not Top. Other shapes have one key,
+    ()."""
+    if shape != "gci_nested":
+        return [()]
+    i, twins = plan.start, plan.twins
+    pat = _lift(plan.premises[i], (2,)) if i in twins else plan.premises[i]
+    not_top = {plan.premises[j][2] for j in twins}
+
+    def admits(term, const, holds: bool) -> bool:
+        if isinstance(term, Var):
+            return not (holds and const == TOPC and term in not_top)
+        return (term == const) == holds
+
+    return [key for key in product((False, True), repeat=len(_KIND_SPOTS))
+            if all(admits(pat[k], const, holds)
+                   for (k, const), holds in zip(_KIND_SPOTS, key))]
+
+
 @cache
-def _dispatch(shape: str | None) -> dict[bool, list]:
+def _dispatch(shape: str | None) -> dict[tuple[bool, ...], list]:
     """The (rule, plan) joins to run on each fact reached of `shape`, in
-    rule order, keyed by whether a gci_nested subject is Top: a twin or a
-    Top pattern takes only Top, a nominal or a twin's subject variable any
-    other. For None, under False, the joins whose premises are all
-    implicit tautologies. Planned on first use, so importing the package
-    stays cheap."""
-    dispatch: dict[bool, list] = {}
+    rule order, keyed by the rest of the fact's kind (`_keys`), under each
+    key the variant's reached premise admits. For None, under (), the joins
+    whose premises are all implicit tautologies. Planned on first use, so
+    importing the package stays cheap."""
+    dispatch: dict[tuple[bool, ...], list] = {}
     for rule in RULES:
         seen = set()
         starts = [i for i, p in enumerate(rule.premises) if p[0] == shape]
@@ -632,24 +691,19 @@ def _dispatch(shape: str | None) -> dict[bool, list]:
                 if plan is None or plan in seen:
                     continue
                 seen.add(plan)
-                subject = (TOPC if i in twins else plan.premises[i][2]
-                           if shape == "gci_nested" else None)
-                tops = ([True] if subject == TOPC else [False, True]
-                        if isinstance(subject, Var) and subject not in {
-                            plan.premises[j][2] for j in twins}
-                        else [False])
-                for top in tops:
-                    dispatch.setdefault(top, []).append((rule, plan))
+                for key in _keys(plan, shape):
+                    dispatch.setdefault(key, []).append((rule, plan))
     return dispatch
 
 
 @cache
 def _joins(kind: tuple | None) -> tuple:
-    """The compiled joins of `kind`, (shape, subject is Top), or for None
-    those that run once per saturation, before the walk."""
-    shape, top = kind or (None, False)
+    """The compiled joins of `kind`, a fact's shape followed by its key in
+    `_dispatch`, or for None those that run once per saturation, before
+    the walk."""
+    shape, *key = kind or (None,)
     return tuple(_compile_join(rule, plan)
-                 for rule, plan in _dispatch(shape).get(top, ()))
+                 for rule, plan in _dispatch(shape).get(tuple(key), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -701,19 +755,37 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
 
     refutation = intern_fact(REFUTATION_FACT)
-    eng = FactStore(uni)
-    add = eng.add
-    fact_ids = eng.fact_ids
+    # The run's store: its facts in id order, their ids and provenance, and
+    # per key of the positions no generalization moves (`_unmoved`), the
+    # number of facts stored there.
+    facts: list[tuple] = []
+    fact_ids: dict[tuple, int] = {}
+    provenance: list[tuple[str, tuple[int, ...]]] = []
+    count: dict[tuple, int] = {}
     premise_only: set[int] = set()
+
+    def add(fact: tuple, rule_name: str, premises: tuple) -> None:
+        if fact in fact_ids:
+            return
+        fact_ids[fact] = len(facts)
+        facts.append(fact)
+        provenance.append((rule_name, premises))
+        key = _unmoved(fact)
+        if key is not None:
+            count[key] = count.get(key, 0) + 1
 
     def check_limit() -> None:
         if len(fact_ids) > limit:
             raise FactLimitExceeded(len(fact_ids), limit, limit == bound)
 
     for fid, fact in enumerate(store.facts):
+        positions = FACT_SHAPES.get(fact[0])
+        if positions is None:
+            raise PreprocessError(f"input fact {format_fact(fact)} has an "
+                                  "unknown shape")
         interned = intern_fact(fact)
-        if any(t not in members[kind] for t, (_, kind)
-               in zip(interned[1:], FACT_SHAPES.get(fact[0], ()))):
+        if any(t not in members[kind]
+               for t, (_, kind) in zip(interned[1:], positions)):
             raise PreprocessError(f"input fact {format_fact(fact)} names a "
                                   "term outside the universes")
         rule, premises = store.provenance[fid]
@@ -745,8 +817,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
             raise _Stop
 
     # a stored strict generalization of a fact, or None
-    general_of = maps["GENERAL"] = partial(_generalization, up=up,
-                                           stored=fact_ids)
+    general_of = maps["GENERAL"] = _generalization_lookup(up, fact_ids, count)
 
     def derive(fact: tuple) -> None:
         """Store an implicit fact with its canonical derivation, as a
@@ -767,7 +838,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         for p in premises:
             if p not in fact_ids:
                 derive(p)
-        premise_only.add(len(eng.facts))
+        premise_only.add(len(facts))
         add(fact, rule_name, tuple([fact_ids[p] for p in premises]))
         check_limit()
 
@@ -790,10 +861,18 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 table.setdefault(key_of(fact), []).append(fact)
         return table
 
+    # per compiled join, this run's instance: one serves every kind
+    made: dict = {}
+
     def instances(kind: tuple | None) -> list:
         """This run's instances of the joins of `kind`."""
-        return [make(index, fact_ids, ranges, emit, **maps)
-                for make in _joins(kind)]
+        fns = []
+        for make in _joins(kind):
+            fn = made.get(make)
+            if fn is None:
+                fn = made[make] = make(index, fact_ids, ranges, emit, **maps)
+            fns.append(fn)
+        return fns
 
     if not (early_exit_on_refutation and refutation in fact_ids):
         # per kind, the joins made when the walk first reaches one
@@ -803,16 +882,20 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 fn(None, -1)
             # The fact list is the worklist: the loop also reaches the
             # facts appended while it runs.
-            for fid, fact in enumerate(eng.facts):
+            for fid, fact in enumerate(facts):
                 if fid in premise_only:
                     continue
                 shape = fact[0]
                 if shape == "gci_nested" and (fact[4] == fact[5]
                                               or fact[5] == _TOP):
                     continue  # a tautology: matched implicitly
-                if general_of(fact) is not None:
+                if general_of(fact, True) is not None:
                     continue  # a stored generalization's joins cover it
-                kind = (shape, shape == "gci_nested" and fact[2] == _TOP)
+                if shape == "gci_nested":
+                    kind = (shape, fact[2] == _TOP, fact[4] == _TOP,
+                            fact[5] == _BOT)
+                else:
+                    kind = (shape,)
                 joined[shape].append(fact)
                 for key_of, table in tables_of.get(shape, ()):
                     key = key_of(fact)
@@ -828,15 +911,14 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                     fn(fact, fid)
         except _Stop:
             stopped = True
-        del joins, tables, tables_of, joined  # the run's indexes
+        del joins, made, tables, tables_of, joined  # the run's indexes
     else:
         stopped = True
 
     # Decode into a readable store; ids and provenance carry over as they
-    # are, and every fact is listed by shape. The engine store and its
-    # indexes are released first, so that they do not add to the peak.
-    facts, provenance = eng.facts, eng.provenance
-    del eng, add, fact_ids
+    # are, and every fact is listed by shape. The run's ids and indexes are
+    # released first, so that they do not add to the peak.
+    del add, fact_ids, count, general_of, maps
     out = FactStore(uni.copy())
     out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]]) for f in facts]
     out.fact_ids = dict(zip(out.facts, range(len(out.facts))))

@@ -265,8 +265,8 @@ def test_role_free_saturation_compiles_part_of_the_joins():
              "saturation.saturate(prep(kb))\n"
              "used = saturation._compile_join.cache_info().currsize\n"
              "made = {m for shape in FACT_SHAPES\n"
-             "        for top in saturation._dispatch(shape)\n"
-             "        for m in saturation._joins((shape, top))}\n"
+             "        for key in saturation._dispatch(shape)\n"
+             "        for m in saturation._joins((shape, *key))}\n"
              "print(used, len(made | set(saturation._joins(None))))\n")
     used, total = map(int, _python(probe).split())
     assert 0 < used < total

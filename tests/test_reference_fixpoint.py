@@ -3,19 +3,24 @@
 The reference knows the calculus only through `RULES` and `apply_rule`,
 so it checks the shared pattern code from the side that compiles no
 joins. It stores every fact, tautologies included, and repeats rounds of
-backtracking joins over per-shape fact lists until a round adds nothing.
-For premise k, `apply_rule` on the rule cut to premises 0..k-1, with
-premise k as its conclusion, gives the pattern the chosen prefix leaves;
+backtracking joins over per-shape fact lists until a round adds nothing;
+each round joins only the premise combinations that hold a fact new in
+the round before (semi-naive evaluation), starting from that fact.
+With the premises in the order joined, for premise k `apply_rule` on the
+rule cut to premises 0..k-1, with premise k as its conclusion, gives the
+pattern the chosen prefix leaves;
 a fact of that shape that agrees with it on the bound positions is kept
 when `apply_rule` accepts the longer prefix.
 """
 
+import itertools
+
 from spel.parser import parse_kb
-from spel.preprocess import REFUTATION_FACT, prep
+from spel.preprocess import INPUT_RULE, REFUTATION_FACT, prep
 from spel.rules import RULES, Rule, Var, apply_rule
 from spel.saturation import is_refuted, saturate
 
-from conftest import informative_closure
+from conftest import GENERALIZABLE, informative_closure
 from genkb import TINY_PARAMS, generate_kb
 
 #: tiny seeds with small closures, so that the naive fixpoint stays fast:
@@ -36,11 +41,12 @@ def _ground(term) -> bool:
         isinstance(term, tuple) and any(isinstance(t, Var) for t in term))
 
 
-def _conclusions(steps, chosen, pattern, candidates, uni):
+def _conclusions(steps, chosen, pattern, sources, uni):
     """Conclusions of the rule whose prefix cuts are `steps`, over the
-    `chosen` premises and every fact matching `pattern` and the rest."""
+    `chosen` premises and, for each later premise, every fact that
+    matches its pattern among those its source in `sources` gives."""
     step = steps[len(chosen)]
-    for fact in candidates(pattern):
+    for fact in sources[len(chosen)](pattern):
         try:
             out = apply_rule(step, chosen + [fact], uni)
         except ValueError:
@@ -49,39 +55,61 @@ def _conclusions(steps, chosen, pattern, candidates, uni):
             yield from out
         else:
             yield from _conclusions(steps, chosen + [fact], out[0],
-                                    candidates, uni)
+                                    sources, uni)
+
+
+def _candidates(facts):
+    """The lookup of the facts in `facts` that agree with a pattern on its
+    bound positions, through tables made on first use."""
+    by_shape, tables = {}, {}
+    for fact in facts:
+        by_shape.setdefault(fact[0], []).append(fact)
+
+    def candidates(pattern):
+        bound = tuple(k for k in range(1, len(pattern))
+                      if _ground(pattern[k]))
+        table = tables.get((pattern[0], bound))
+        if table is None:
+            table = tables[pattern[0], bound] = {}
+            for fact in by_shape.get(pattern[0], ()):
+                key = tuple(fact[k] for k in bound)
+                table.setdefault(key, []).append(fact)
+        return table.get(tuple(pattern[k] for k in bound), ())
+
+    return candidates
 
 
 def reference_fixpoint(store) -> set:
+    """Every fact the rules derive from `store`, semi-naively: each round
+    joins only the premise combinations that hold a fact new in the last
+    round. The first such premise, k, is joined first and takes the new
+    facts; the premises before k take the older ones, those after it
+    all."""
     uni = store.universes
     facts = set(store.facts)
     for rule in RULES:
         if not rule.premises:
             facts.update(apply_rule(rule, [], uni))
-    plans = [([Rule(r.name, r.premises[:k + 1], r.premises[k + 1])
-               for k in range(len(r.premises) - 1)] + [r], r.premises[0])
-             for r in RULES if r.premises]
-    while True:
-        by_shape, tables = {}, {}
-        for fact in facts:
-            by_shape.setdefault(fact[0], []).append(fact)
-
-        def candidates(pattern):
-            bound = tuple(k for k in range(1, len(pattern))
-                          if _ground(pattern[k]))
-            table = tables.get((pattern[0], bound))
-            if table is None:
-                table = tables[pattern[0], bound] = {}
-                for fact in by_shape.get(pattern[0], ()):
-                    key = tuple(fact[k] for k in bound)
-                    table.setdefault(key, []).append(fact)
-            return table.get(tuple(pattern[k] for k in bound), ())
-
-        new = {c for steps, first in plans
-               for c in _conclusions(steps, [], first, candidates, uni)}
-        if new <= facts:
-            return facts
-        facts |= new
+    plans = []
+    for r in RULES:
+        for k in range(len(r.premises)):
+            order = [k] + [j for j in range(len(r.premises)) if j != k]
+            premises = tuple(r.premises[j] for j in order)
+            steps = [Rule(r.name, premises[:m + 1], premises[m + 1])
+                     for m in range(len(premises) - 1)]
+            steps.append(Rule(r.name, premises, r.conclusion, r.ranges))
+            plans.append((steps, premises[0], [j < k for j in order[1:]]))
+    old, new = set(), facts
+    while new:
+        older, last, every = (_candidates(old), _candidates(new),
+                              _candidates(facts))
+        found = set()
+        for steps, first, before in plans:
+            sources = [last] + [older if b else every for b in before]
+            found.update(_conclusions(steps, [], first, sources, uni))
+        old, new = facts, found - facts
+        facts = facts | new
+    return facts
 
 
 #: hand-made KBs for the seed sharpening order. In "E.2" and "A.5" the
@@ -149,7 +177,28 @@ ORDER_KBS = {
 }
 
 
+def late_twins(store) -> list:
+    """The facts `store` derives after a strict generalization of theirs,
+    a copy with the top at some of their generalizable positions (a Top
+    subject, `*` for a standpoint), that are no premise of a stored fact:
+    the engine stores such a twin only as the premise of a later fact."""
+    used = {p for _, premises in store.provenance for p in premises}
+    late = []
+    for fid, fact in enumerate(store.facts):
+        if fid in used or store.provenance[fid][0] == INPUT_RULE:
+            continue
+        spots = GENERALIZABLE.get(fact[0], {})
+        copies = itertools.product(*([term, spots[k]] if k in spots
+                                     else [term]
+                                     for k, term in enumerate(fact)))
+        if any(store.fact_ids.get(g, fid) < fid for g in copies):
+            late.append(fact)
+    return late
+
+
 def test_engine_matches_reference_fixpoint():
+    """The engine's closure stands for the reference's, and it stores no
+    twin of an earlier fact except as a premise."""
     stores = [prep(generate_kb(seed, TINY_PARAMS)) for seed in SMALL_SEEDS]
     stores += [prep(parse_kb(text)) for text in ORDER_KBS.values()]
     for seed, store in zip(SMALL_SEEDS + tuple(ORDER_KBS), stores):
@@ -160,3 +209,4 @@ def test_engine_matches_reference_fixpoint():
         assert (informative_closure(engine.facts, engine.universes)
                 == informative_closure(reference, store.universes)), \
             f"seed {seed}"
+        assert late_twins(engine) == [], f"seed {seed}"

@@ -34,7 +34,8 @@ from spel.preprocess import (
     Universes,
     prep,
 )
-from spel.rules import RULES, RULES_BY_NAME, apply_rule, pattern_vars
+from spel.rules import (RULES, RULES_BY_NAME, Var, apply_rule, pattern_vars,
+                        unify)
 from spel.saturation import (
     FactLimitExceeded,
     format_fact,
@@ -197,6 +198,16 @@ def test_input_fact_outside_the_universes_is_rejected():
         saturate(store)
 
 
+def test_input_fact_of_an_unknown_shape_is_rejected():
+    """A store's fact list is read as it is: a fact of an unknown shape put
+    there without `add` is an error that names the fact."""
+    store = fresh_store([("sharper", UNIVERSAL, UNIVERSAL)])
+    store.facts.append(("meet", UNIVERSAL, UNIVERSAL))
+    store.provenance.append((INPUT_RULE, ()))
+    with pytest.raises(PreprocessError, match=r"meet\(\*, \*\)"):
+        saturate(store)
+
+
 def all_tautologies(universes):
     """Every implicit gci_nested tautology over the universes."""
     sps, concepts = universes.standpoints, universes.concepts
@@ -351,6 +362,66 @@ def test_seed_order_is_reachability_with_cycles_unordered(graph):
                         if not any((s, t) in below for t in lower)}
             got = order.meet[w].get(u, ())
             assert len(got) == len(set(got)) and set(got) == greatest, (w, u)
+
+
+def reference_generalization(fact, up, stored):
+    """A strict generalization of the interned `fact` in `stored`, or None,
+    by probing every copy: Top for its subject and a standpoint of its
+    up-set at each standpoint position, Top-subject copies first."""
+    shape = fact[0]
+    top = saturation._TOP
+    if shape == "gci_nested":
+        _, t, c, s, d, e = fact
+        if c != top:
+            for t2 in up[t]:
+                for s2 in up[s]:
+                    if (shape, t2, top, s2, d, e) in stored:
+                        return shape, t2, top, s2, d, e
+        for t2 in up[t]:
+            for s2 in up[s]:
+                if (shape, t2, c, s2, d, e) in stored and (t2 != t
+                                                            or s2 != s):
+                    return shape, t2, c, s2, d, e
+    elif shape not in ("sharper", "sharper_intersection"):
+        for u in up[fact[1]][1:]:
+            if (shape, u) + fact[2:] in stored:
+                return (shape, u) + fact[2:]
+    return None
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_indexed_generalization_lookup_matches_probing(data):
+    """On random interned stores of gci_nested, gci_con_left and ria2 facts
+    over up to 5 standpoints, 4 concepts and 2 roles, with the seed order
+    of a random sharpening graph, the run's lookup, indexed by the
+    positions no generalization moves, returns for every fact of that
+    space, stored or not, what probing every copy returns."""
+    star, top, bot = saturation._STAR, saturation._TOP, saturation._BOT
+    standpoints = [star] + [10 + k for k in range(data.draw(st.integers(
+        0, 4)))]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(standpoints),
+                                         st.sampled_from(standpoints)),
+                               max_size=3 * len(standpoints)))
+    up = saturation._seed_order(standpoints, [
+        ("sharper", a, b) for a, b in pairs]).up
+    concepts, roles = [top, bot, 20, 21], [30, 31]
+    space = [("gci_nested",) + f for f in itertools.product(
+        standpoints, concepts, standpoints, concepts, concepts)]
+    space += [("gci_con_left",) + f for f in itertools.product(
+        standpoints, concepts, concepts, concepts)]
+    space += [("ria2",) + f for f in itertools.product(standpoints, roles,
+                                                      roles)]
+    stored = dict.fromkeys(data.draw(st.lists(st.sampled_from(space),
+                                              max_size=150)))
+    count = {}
+    for fact in stored:
+        key = saturation._unmoved(fact)
+        count[key] = count.get(key, 0) + 1
+    general_of = saturation._generalization_lookup(up, stored, count)
+    for fact in space:
+        assert general_of(fact, fact in stored) == reference_generalization(
+            fact, up, stored), fact
 
 
 def seed_order(store):
@@ -534,6 +605,59 @@ def test_join_variants_stay_few():
                for joins in saturation._dispatch(shape).values()
                for rule, plan in joins}
     assert len(planned) + len(saturation._joins(None)) <= 140
+
+
+def test_dispatch_lists_the_variants_each_key_admits():
+    """For every shape and key, `_dispatch` lists exactly the planned
+    variants, in rule order, whose reached premise admits the key: some
+    fact it matches, with no twin's subject variable bound to Top, has the
+    key's Top subject, Top at D and Bot at E (gci_nested), or any fact
+    (the others, key ()). Together the keys list each variant planned
+    from a premise of the shape. Each fact tried has a concept of every
+    sort at those three positions and `*` or a named standpoint at the
+    others."""
+    values = [TOPC, BOTC, ("cn", "A"), ("nom", "a"), ("self", "r")]
+    nested = [("gci_nested", t, c, s, d, e) for t in (UNIVERSAL, "S")
+              for c in values for s in (UNIVERSAL, "S") for d in values
+              for e in values]
+    keys = list(itertools.product((False, True), repeat=3))
+    for shape in FACT_SHAPES:
+        dispatch = saturation._dispatch(shape)
+        variants = {v for joins in dispatch.values() for v in joins}
+        for key in keys if shape == "gci_nested" else [()]:
+            admitted = set()
+            for rule, plan in variants:
+                if shape != "gci_nested":
+                    admitted.add((rule, plan))
+                    continue
+                i = plan.start
+                pat = plan.premises[i]
+                if i in plan.twins:
+                    pat = pat[:2] + (TOPC,) + pat[3:]
+                not_top = {plan.premises[j][2].name for j in plan.twins
+                           if isinstance(plan.premises[j][2], Var)}
+                for fact in nested:
+                    subst = unify(pat, fact, {})
+                    if subst is not None and (
+                            fact[2] == TOPC, fact[4] == TOPC,
+                            fact[5] == BOTC) == key and all(
+                                subst.get(v) != TOPC for v in not_top):
+                        admitted.add((rule, plan))
+                        break
+            listed = dispatch.get(key, [])
+            assert len(set(listed)) == len(listed)
+            assert set(listed) == admitted, (shape, key)
+            order = [RULES.index(rule) for rule, _ in listed]
+            assert order == sorted(order), (shape, key)
+        planned = set()
+        for rule in RULES:
+            for i, pat in enumerate(rule.premises):
+                for families, twins in (saturation._modes(rule, i)
+                                        if pat[0] == shape else ()):
+                    plan = saturation._join_plan(rule, i, families, twins)
+                    if plan is not None:
+                        planned.add((rule, plan))
+        assert variants == planned, shape
 
 
 def test_joins_look_up_small_tables_first():
