@@ -596,6 +596,20 @@ def _nonempty_subsets(precs: tuple[int, ...]):
             yield frozenset(combo)
 
 
+def _individual_maps(count: int, size: int):
+    """The maps of `count` individuals into range(size), in lexicographic
+    order, in which each individual takes an element at most one above the
+    largest taken before it. The domain elements are interchangeable, so
+    every other map is a permutation of one of these (least-number
+    symmetry breaking)."""
+    if count == 0:
+        yield ()
+        return
+    for head in _individual_maps(count - 1, size):
+        for value in range(min(max(head, default=-1) + 2, size)):
+            yield head + (value,)
+
+
 def _search(statements, standpoints, concepts, roles, individuals,
             max_domain: int, max_prec: int, budget: _Budget):
     named = sorted(standpoints - {UNIVERSAL})
@@ -610,7 +624,7 @@ def _search(statements, standpoints, concepts, roles, individuals,
                 budget.tick()
                 sigma = dict(zip(named, sigma_vals))
                 sigma[UNIVERSAL] = frozenset(precs)
-                for ind_vals in product(domain, repeat=len(individuals)):
+                for ind_vals in _individual_maps(len(individuals), nd):
                     budget.tick()
                     ind = dict(zip(sorted(individuals), ind_vals))
                     ctx = _Ctx(domain, precs, sigma, ind, {})

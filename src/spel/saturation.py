@@ -12,18 +12,20 @@ Two kinds of fact are implicit, neither stored nor joined:
   or E = Top, which the calculus derives over the whole universes;
 - twins, the facts with a stored strict generalization at their
   generalizable positions (`_GENERAL`): a gci_nested subject generalizes
-  to Top (by C.2), and the outer standpoint of every shape S.3 lifts and
-  the inner standpoint of a gci_nested fact to the standpoints above them
-  in the run's seed sharpening order (by S.3 and S.4): the closure of its
-  input sharper facts and T.1, `*` on top, with standpoints that sharpen
-  each other left unordered (`_seed_order`). Sharpenings that S.2 derives
-  mid-walk are not in it.
+  to Top (by C.2), its D to Top (by C.1 with the tautology
+  box_t[C sub box_s[D => Top]]), and the outer standpoint of every shape
+  S.3 lifts and the inner standpoint of a gci_nested fact to the
+  standpoints above them in the run's seed sharpening order (by S.3 and
+  S.4): the closure of its input sharper facts and T.1, `*` on top, with
+  standpoints that sharpen each other left unordered (`_seed_order`).
+  Sharpenings that S.2 derives mid-walk are not in it.
 A join matches them instead. It generates a tautology premise from its
 bound variables (a join of tautologies only runs once, before the walk).
-A planned variant matches a premise with an unbound subject through a
-stored fact with a Top subject, and binds the subject later or ranges it
-over the universe. The compiled lookups match the rest at run time:
-- a bound subject is probed with itself and Top;
+A planned variant matches a premise with an unbound subject or D through
+a stored fact with Top there, which stands for every value, and binds the
+variable later or ranges it over the universe. The compiled lookups match
+the rest at run time:
+- a bound subject or D is probed with itself and Top;
 - a standpoint variable first bound at an open position (generalizable,
   where the premise with the top is no generalization of the conclusion)
   is a ceiling: its value w stands for every s <= w. A later open
@@ -44,12 +46,14 @@ dropped, and so is a variant that can only conclude one.
 
 A premise that is implicit is stored when a conclusion is, as a premise
 only that the walk skips, with its derivation (`_implicit_step`): a twin
-by C.2 from its Top-subject copy, or by S.3:<shape> or S.4 from its copy
-at u above its own and sharper(s, u), until a stored generalization is
-reached; a tautology at most four steps from the T rules; a missing
-sharper(s, u) by S.1 along input sharper facts. So every provenance entry
-names stored ids and replays through `apply_rule`. D = Bot facts stay
-explicit: the calculus has no schema for them.
+by C.2 from its Top-subject copy, by C.1 from its copy with Top for D and
+a tautology, or by S.3:<shape> or S.4 from its copy at u above its own and
+sharper(s, u), until a stored generalization is reached; a tautology at
+most four steps from the T rules; a missing sharper(s, u) by S.1 along
+input sharper facts. So every provenance entry names stored ids and
+replays through `apply_rule`. A fact with D = Bot, though true, is no
+tautology here, as the calculus has no schema for it: it is stored unless
+it is a twin.
 
 Each variant is planned with the pattern operations of `rules` and
 compiled, once per process and on first use, into a closure of plain
@@ -63,11 +67,13 @@ Each run interns its universes' terms to integers in tables of its own
 (only `*`, Top and Bot, which the compiled joins hold, have fixed ids),
 so runs share no mutable state and may go on side by side in threads. It
 keeps its store in plain locals: the fact list, ids and provenance, and
-per key of the positions no generalization moves (`_unmoved`) the number
-of facts stored there. The test for a stored generalization
-(`_generalization_lookup`) probes the up-sets only under a key that holds
-a stored fact other than the fact itself. The run decodes its store into
-a `FactStore` once at the end.
+per key of the positions no standpoint generalization moves (`_unmoved`:
+(C, D, E) for a gci_nested fact) the number of facts stored there. The
+test for a stored generalization (`_generalization_lookup`) probes the
+up-sets only under a key that holds a stored fact other than the fact
+itself: for a gci_nested fact, under (C, D, E) and the keys with Top for
+C, D or both. The run decodes its store into a `FactStore` once at the
+end.
 
 The universes fix the fact space (`preprocess.FACT_SHAPES`), and an input
 fact naming a term outside them is an error. So a run is bounded by the
@@ -78,7 +84,7 @@ a lower limit. Both count stored facts, and the error says which tripped.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -160,15 +166,19 @@ _TAUTOLOGY_FAMILIES = {
 
 #: Per fact shape, its generalizable positions with the top each
 #: generalizes to, in the order `_implicit_step` lifts them: a gci_nested
-#: subject (Top), the outer standpoint of every shape S.3 lifts, and the
-#: inner standpoint of a gci_nested fact (`*`, the top of every order).
+#: subject and D (Top), the outer standpoint of every shape S.3 lifts, and
+#: the inner standpoint of a gci_nested fact (`*`, the top of every order).
 _GENERAL: dict[str, tuple[tuple[int, object], ...]] = {
     rule.premises[0][0]: ((1, UNIVERSAL),)
     for rule in RULES if rule.name.startswith("S.3:")}
-_GENERAL["gci_nested"] = ((2, TOPC), (1, UNIVERSAL), (3, UNIVERSAL))
+_GENERAL["gci_nested"] = ((2, TOPC), (4, TOPC), (1, UNIVERSAL),
+                          (3, UNIVERSAL))
 #: the same, with the tops' fixed ids, for interned facts
 _GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
                 for shape, spots in _GENERAL.items()}
+#: the gci_nested positions whose top is Top: a stored fact with Top there
+#: stands for every value, and a join matches it as a twin
+_TWIN_SPOTS = tuple(k for k, top in _GENERAL["gci_nested"] if top == TOPC)
 
 #: The gci_nested positions, with their constants, that key a fact's kind
 #: beyond its shape: whether its subject is Top, D is Top and E is Bot.
@@ -249,10 +259,10 @@ def _generalizes(general: tuple, fact: tuple) -> bool:
 
 
 def _unmoved(fact: tuple) -> tuple | None:
-    """The positions of an interned fact that no generalization moves, the
-    key of its generalizations: (C, D, E) for a gci_nested fact, the shape
-    and the positions after the outer standpoint for a shape S.3 lifts,
-    None for the others."""
+    """The key under which a run counts an interned fact's stored copies
+    at other standpoints: (C, D, E) for a gci_nested fact, the shape and
+    the positions after the outer standpoint for a shape S.3 lifts, None
+    for the others."""
     shape = fact[0]
     if shape == "gci_nested":
         return fact[2], fact[4], fact[5]
@@ -262,29 +272,40 @@ def _unmoved(fact: tuple) -> tuple | None:
 def _generalization_lookup(up: dict, stored: dict, count: dict):
     """The run's lookup general_of(fact, is_stored=False) of a strict
     generalization of the interned `fact` in `stored`, or None: a copy with
-    Top for its subject, or with a standpoint of the up-set `up` of its own
-    at each standpoint position (`_GENERAL`), Top-subject copies first.
-    `count` maps each key (`_unmoved`) to the number of facts stored there:
-    a loop whose key has no stored fact but the fact itself (`is_stored`
-    tells whether it is one) is skipped."""
+    Top for its subject or D, or with a standpoint of the up-set `up` of
+    its own at each standpoint position (`_GENERAL`). A gci_nested fact's
+    (C, D) is probed as (Top, d), (c, d), (Top, Top), (c, Top), each over
+    every pair of standpoints. `count` maps each key (`_unmoved`) to the
+    number of facts stored there: a (C, D) whose key has no stored fact
+    but the fact itself (`is_stored` tells whether it is one) is
+    skipped."""
+
+    def above(ts, ss, c, d, e) -> tuple | None:
+        for t2 in ts:
+            for s2 in ss:
+                if ("gci_nested", t2, c, s2, d, e) in stored:
+                    return "gci_nested", t2, c, s2, d, e
+        return None
 
     def general_of(fact: tuple, is_stored: bool = False) -> tuple | None:
         shape = fact[0]
         if shape == "gci_nested":
             _, t, c, s, d, e = fact
             ts, ss = up[t], up[s]
+            found = None
             if c != _TOP and (_TOP, d, e) in count:
-                for t2 in ts:
-                    for s2 in ss:
-                        if (shape, t2, _TOP, s2, d, e) in stored:
-                            return shape, t2, _TOP, s2, d, e
-            if count.get((c, d, e), 0) > is_stored:
-                for t2 in ts:
-                    for s2 in ss:
-                        if (shape, t2, c, s2, d, e) in stored and (
-                                t2 != t or s2 != s):
-                            return shape, t2, c, s2, d, e
-        elif shape in _GENERAL_IDS:
+                found = above(ts, ss, _TOP, d, e)
+            if found is None and count.get((c, d, e), 0) > is_stored:
+                # every pair of standpoints but the fact's own
+                found = (above(ts[:1], ss[1:], c, d, e)
+                         or above(ts[1:], ss, c, d, e))
+            if found is None and d != _TOP:
+                if c != _TOP and (_TOP, _TOP, e) in count:
+                    found = above(ts, ss, _TOP, _TOP, e)
+                if found is None and (c, _TOP, e) in count:
+                    found = above(ts, ss, c, _TOP, e)
+            return found
+        if shape in _GENERAL_IDS:
             rest = fact[2:]
             if count.get(fact[:1] + rest, 0) > is_stored:
                 for u in up[fact[1]][1:]:
@@ -300,15 +321,21 @@ def _implicit_step(fact: tuple, general: tuple | None) -> tuple[str, tuple]:
     from its stored strict generalization `general` (None for a
     tautology, whose tops it goes to): it lifts the first position, in
     `_GENERAL` order, where the two differ. A subject follows by C.2 from
-    box_*[Top sub box_t[C => Top]], a standpoint s by S.3:<shape> or S.4
-    from sharper(s, u); a tautology lifted at all three is a T rule."""
+    box_*[Top sub box_t[C => Top]], a D by C.1 from the tautology
+    box_t[C sub box_s[D => Top]], a standpoint s by S.3:<shape> or S.4
+    from sharper(s, u); a tautology keeps its D, and lifted at the other
+    three is a T rule."""
     for k, top in _GENERAL_IDS[fact[0]]:
+        if general is None and k == 4:
+            continue  # a tautology keeps its D
         term = top if general is None else general[k]
         if fact[k] != term:
             lifted = fact[:k] + (term,) + fact[k + 1:]
             if k == 2:
                 return "C.2", (("gci_nested", _STAR, _TOP, fact[1],
                                 fact[2], _TOP), lifted)
+            if k == 4:
+                return "C.1", (fact[:5] + (_TOP,), lifted)
             rule = "S.4" if fact[0] == "gci_nested" and k == 3 else (
                 "S.3:" + fact[0])
             return rule, (lifted, ("sharper", fact[k], term))
@@ -347,9 +374,9 @@ class _Plan(NamedTuple):
     conclusion: tuple
     #: the premises that are implicit tautologies, generated
     implicit: tuple[int, ...]
-    #: the premises matched by a stored fact with a Top subject, which
-    #: stands for every subject
-    twins: tuple[int, ...]
+    #: the (premise, position) pairs of a subject or D matched by a stored
+    #: fact with Top there, which stands for every value
+    twins: tuple[tuple[int, int], ...]
     #: the (premise, position) pairs of generalizable positions holding a
     #: variable where the premise with the top is no generalization of the
     #: conclusion, so that the fact matched may hold a term above; at the
@@ -357,15 +384,23 @@ class _Plan(NamedTuple):
     open: tuple[tuple[int, int], ...]
 
 
+def _matched(premises: tuple, twins) -> list:
+    """The patterns of the stored facts that match `premises`: Top at each
+    (premise, position) of `twins`."""
+    return [_lift(p, [k for j2, k in twins if j2 == j])
+            for j, p in enumerate(premises)]
+
+
 def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
-               twins: tuple[int, ...]) -> _Plan | None:
+               twins: tuple[tuple[int, int], ...]) -> _Plan | None:
     """The variant of `rule` started from premise `i` in which each premise
-    in `families` is an implicit tautology of the given family and each in
-    `twins` is matched by a stored fact with a Top subject. None when no
-    such instance exists, when each is implied (a tautology, or a stored
-    premise or a generalization of one), or when another variant makes the
-    same combinations: a twin's subject bound before is probed, and one
-    found elsewhere only at lifted positions may as well be Top."""
+    in `families` is an implicit tautology of the given family and each
+    subject or D in `twins` is matched by a stored fact with Top there.
+    None when no such instance exists, when each is implied (a tautology,
+    or a stored premise or a generalization of one), or when another
+    variant makes the same combinations: a twin's variable bound before is
+    probed, and one found elsewhere only at lifted positions may as well
+    be Top."""
     subst: dict | None = {}
     for j, family in families.items():
         subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
@@ -373,10 +408,9 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
             return None
     premises = resolve(rule.premises, subst)
     conclusion = resolve(rule.conclusion, subst)
-    if any(premises[j][2] == TOPC for j in twins):
+    if any(premises[j][k] == TOPC for j, k in twins):
         return None  # already Top: the plain variant's job
-    matched = [_lift(p, (2,)) if j in twins else p
-               for j, p in enumerate(premises)]
+    matched = _matched(premises, twins)
     if is_tautology(conclusion) or any(
             _generalizes(matched[j], conclusion)
             for j in range(len(premises)) if j not in families):
@@ -390,20 +424,19 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
     opened = []
     for j in ([] if i is None else [i]) + order:
         for k, _ in _GENERAL.get(premises[j][0], ()):
-            if j in twins and k == 2:
+            if (j, k) in twins:
                 if bound.issuperset(_term_vars(premises[j][k])):
                     return None  # bound already: the probe's job
             elif _term_vars(premises[j][k]) and not _generalizes(
                     _lift(matched[j], (k,)), conclusion):
                 opened.append((j, k))
         bound.update(v for v, _ in pattern_vars(matched[j]))
-    loose = [_lift(p, range(len(p)) if j in families else
-                   (2,) if j in twins else ())
-             for j, p in enumerate(premises)]
+    loose = [_lift(p, range(len(p))) if j in families else q
+             for j, (p, q) in enumerate(zip(premises, matched))]
     loose.append(_lift(conclusion, _var_spots(conclusion)))
     elsewhere = {var for pat in loose for var, _ in pattern_vars(pat)}
-    if any(isinstance(premises[j][2], Var)
-           and premises[j][2].name not in elsewhere for j in twins):
+    if any(isinstance(premises[j][k], Var)
+           and premises[j][k].name not in elsewhere for j, k in twins):
         return None
     return _Plan(i, tuple(order), premises, conclusion,
                  tuple(sorted(families)), tuple(twins), tuple(opened))
@@ -420,19 +453,19 @@ def _compile_join(rule: Rule, plan: _Plan):
     the closure fn(fact, fid) to call on each fact the walk reaches (fact
     None for a join without one). `index(shape, positions)` gives the run's
     index tables of the facts reached so far; `maps` holds its nominal,
-    self-loop and seed order maps (`UP`, `MEET`), a subject's probes
-    (`ALT_C`) and `GENERAL`, its indexed lookup of a stored strict
+    self-loop and seed order maps (`UP`, `MEET`), the probes of a subject
+    or D (`ALT_C`) and `GENERAL`, its indexed lookup of a stored strict
     generalization of a conclusion (`_generalization_lookup`)."""
     i, premises, conclusion = plan.start, plan.premises, plan.conclusion
     twins, opened = plan.twins, set(plan.open)
     implicit = list(plan.implicit)
-    matched = [_lift(p, (2,)) if j in twins else p
-               for j, p in enumerate(premises)]
+    matched = _matched(premises, twins)
     stored = [j for j in range(len(premises)) if j not in implicit]
     # built from their variables once every stored premise is bound
-    generated = implicit + [j for j in stored if j in twins]
-    not_top = {premises[j][2].name for j in twins
-               if isinstance(premises[j][2], Var)}
+    twinned = {j for j, _ in twins}
+    generated = implicit + [j for j in stored if j in twinned]
+    not_top = {premises[j][k].name for j, k in twins
+               if isinstance(premises[j][k], Var)}
     tables: dict[tuple, str] = {}
     # the Python name holding each bound variable: a ceiling lowered by a
     # later premise gets a new one, so that enclosing loops keep theirs
@@ -629,21 +662,24 @@ def _term_vars(term) -> list[str]:
 def _modes(rule: Rule, i: int | None):
     """The (families, twins) choices `_join_plan` is asked about for a join
     of `rule` from premise `i`: each gci_nested premise other than the
-    reached one may be an implicit tautology, and each one whose subject
-    is not Top may be matched by a stored fact with a Top subject. A join
-    without a fact reached has only implicit premises."""
+    reached one may be an implicit tautology, and each one may be matched
+    by a stored fact with Top at its subject, its D or both, where it does
+    not hold Top. A join without a fact reached has only implicit
+    premises."""
     options = []
     for j, pat in enumerate(rule.premises):
         choices: list[tuple[dict, tuple]] = [({}, ())]
         if pat[0] == "gci_nested":
             if j != i:
                 choices += [({j: f}, ()) for f in _TAUTOLOGY_FAMILIES]
-            if i is not None and pat[2] != TOPC:
-                choices.append(({}, (j,)))
+            if i is not None:
+                spots = [(j, k) for k in _TWIN_SPOTS if pat[k] != TOPC]
+                choices += [({}, twin) for n in range(1, len(spots) + 1)
+                            for twin in combinations(spots, n)]
         options.append(choices)
     for choice in product(*options):
         families: dict[int, str] = {}
-        twins: tuple[int, ...] = ()
+        twins: tuple[tuple[int, int], ...] = ()
         for family, twin in choice:
             families.update(family)
             twins += twin
@@ -654,15 +690,14 @@ def _modes(rule: Rule, i: int | None):
 def _keys(plan: _Plan, shape: str | None) -> list[tuple[bool, ...]]:
     """The keys of `_dispatch` that `plan`'s reached premise admits: for
     gci_nested, each (subject is Top, D is Top, E is Bot) that a fact
-    matching it can have (`_KIND_SPOTS`). A constant, a nominal or a twin's
-    Top subject there fixes the test, a variable leaves it open, except
-    that a twin's subject variable is not Top. Other shapes have one key,
-    ()."""
+    matching it can have (`_KIND_SPOTS`). A constant, a nominal or a
+    twin's Top there fixes the test, a variable leaves it open, except
+    that a twin's variable is not Top. Other shapes have one key, ()."""
     if shape != "gci_nested":
         return [()]
     i, twins = plan.start, plan.twins
-    pat = _lift(plan.premises[i], (2,)) if i in twins else plan.premises[i]
-    not_top = {plan.premises[j][2] for j in twins}
+    pat = _matched(plan.premises, twins)[i]
+    not_top = {plan.premises[j][k] for j, k in twins}
 
     def admits(term, const, holds: bool) -> bool:
         if isinstance(term, Var):
@@ -796,8 +831,8 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 add(intern_fact(fact), rule.name, ())
     check_limit()
 
-    # The seed order's maps, and the alternative keys a bound subject is
-    # probed with: the concept and Top.
+    # The seed order's maps, and the alternative keys a bound subject or D
+    # is probed with: the concept and Top.
     order = _seed_order(ranges["standpoint"], [
         intern_fact(f) for f in store.by_shape.get("sharper", ())])
     up = order.up
@@ -937,12 +972,13 @@ def is_refuted(store: FactStore) -> bool:
 def stored_form(store: FactStore, fact: Fact) -> Fact | None:
     """The stored fact by which the saturated `store` holds `fact`: `fact`
     itself, or else a stored generalization of it: a copy with Top for its
-    subject or with standpoints above its own at its generalizable
+    subject or D or with standpoints above its own at its generalizable
     positions, along the store's sharper facts (`*` above every
-    standpoint), and for box_t[C sub box_s[D => E]] also with Bot for E,
-    as D is then empty; None when there is none. Saturation leaves the
-    twins implicit along a sub-order of these, so every fact of the full
-    closure that is not a tautology (`is_tautology`) has a stored form."""
+    standpoint), and for box_t[C sub box_s[D => E]] with D not Bot also
+    with Bot for E, as D is then empty; None when there is none.
+    Saturation leaves the twins implicit along a sub-order of these, so
+    every fact of the full closure that is not a tautology
+    (`is_tautology`) has a stored form."""
     if fact in store.fact_ids:
         return fact
     above: dict = {}
@@ -954,7 +990,8 @@ def stored_form(store: FactStore, fact: Fact) -> Fact | None:
         choices[k] = list(dict.fromkeys(
             [term, top] if top == TOPC else
             [term, *above.get(term, ()), UNIVERSAL]))
-    if fact[0] == "gci_nested":
+    if fact[0] == "gci_nested" and fact[4] != BOTC:
+        # with D = Bot, that copy is a tautology, which holds no other fact
         choices[5] = list(dict.fromkeys([fact[5], BOTC]))
     for general in product(*choices):
         if general in store.fact_ids:

@@ -27,19 +27,20 @@ def fixture_kb(name):
 
 #: per fact shape, the positions saturation leaves generalized, with the
 #: top there: the outer standpoint of every shape S.3 lifts, and the
-#: subject and inner standpoint of a gci_nested fact
+#: subject, inner standpoint and D of a gci_nested fact
 GENERALIZABLE = {rule.premises[0][0]: {1: UNIVERSAL}
                  for rule in RULES if rule.name.startswith("S.3:")}
-GENERALIZABLE["gci_nested"].update({2: TOPC, 3: UNIVERSAL})
+GENERALIZABLE["gci_nested"].update({2: TOPC, 3: UNIVERSAL, 4: TOPC})
 
 
 def informative_closure(facts, universes):
     """The non-tautological facts a saturated fact set stands for: `facts`
     with every copy of each of them at its generalizable positions, where
-    it holds a term with others below it: a Top subject replaced by each
-    concept of the universe (Top-twins), and an outer or inner standpoint
-    u by each standpoint s with sharper(s, u) among `facts` (sharpening
-    twins, one position or both; every standpoint for `*`); and without
+    it holds a term with others below it: a Top subject or D replaced by
+    each concept of the universe (Top-twins and D-twins, one position or
+    both), and an outer or inner standpoint u by each standpoint s with
+    sharper(s, u) among `facts` (sharpening twins, one position or both;
+    every standpoint for `*`); and without
     the tautologies (D = E or E = Top). Saturation leaves all these
     implicit, so which of them a store holds depends on the order of its
     input facts; this set does not. The sharper facts of a saturated set

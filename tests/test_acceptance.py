@@ -204,14 +204,20 @@ def test_criterion_8_polynomial_bound(capsys):
 def test_criterion_9_derivations_replay(capsys, example1_store):
     with reported(capsys, 9, "1000 sampled derivations replay under the "
                              "declarative rules"):
-        derived = [fid for fid, (rule, _) in enumerate(example1_store.provenance)
+        # example1's full closure derives fewer than 1000 facts, so the
+        # sample is drawn from it and the full closures of tiny KBs 0-9
+        stores = [example1_store] + [
+            saturate(prep(generate_kb(seed, TINY_PARAMS)),
+                     early_exit_on_refutation=False) for seed in range(10)]
+        derived = [(store, fid) for store in stores
+                   for fid, (rule, _) in enumerate(store.provenance)
                    if rule != INPUT_RULE]
         sample = random.Random(0).sample(derived, 1000)
-        for fid in sample:
-            rule, premise_ids = example1_store.provenance[fid]
-            premises = [example1_store.facts[p] for p in premise_ids]
-            conclusions = apply_rule(rule, premises, example1_store.universes)
-            assert example1_store.facts[fid] in conclusions, (
+        for store, fid in sample:
+            rule, premise_ids = store.provenance[fid]
+            premises = [store.facts[p] for p in premise_ids]
+            conclusions = apply_rule(rule, premises, store.universes)
+            assert store.facts[fid] in conclusions, (
                 f"fact {fid} fails replay under {rule}"
             )
 

@@ -130,6 +130,13 @@ def reference_fixpoint(store) -> set:
 #: fact, C sub D at SN, is lowered by D sub E at H, and in "C.1 reversed"
 #: D sub E at SN by C sub D at H, so that each premise of C.1 holds the
 #: ceiling once. "chain" does both over two levels, M <= H <= SN.
+#: The last four hold a fact with Top for D, which stands for its copies
+#: with any D. In "L.2 self" it is Top sub ex R . Self, and L.2 gives
+#: C sub ex R . C for the named C, which ranges. In "E.1 late" it is
+#: reached after the gci_ex_right premise of E.1, whose D it stands for.
+#: In "E.4 one conjunct" it is Top sub A, and C sub B, reached last, finds
+#: it as the conjunct C sub A by probing Top for its bound D; in "E.4 one
+#: conjunct, last" Top sub A is reached last and stands for C sub A.
 ORDER_KBS = {
     "E.2": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
            "concept E; box SN { C sub ex R . D; } box H { D sub ex R . E; } "
@@ -174,14 +181,26 @@ ORDER_KBS = {
              "concept C; concept D; concept E; concept F; "
              "box * { C sub dia M D; } box M { D sub E; } "
              "box SN { C sub D; } box SN { D sub F; }",
+    "L.2 self": "standpoint S; concept C; concept D; "
+                "box S { Top sub ex R . Self; } box S { ex R . C sub D; }",
+    "E.1 late": "standpoint S; concept C; concept D; concept E; "
+                "box S { C sub ex R . D; } box S { Top sub E; }",
+    "E.4 one conjunct": "standpoint S; concept A; concept B; concept C; "
+                        "concept D; box S { Top sub A; } "
+                        "box S { A and B sub D; } box S { C sub B; }",
+    "E.4 one conjunct, last": "standpoint S; concept A; concept B; "
+                              "concept C; concept D; "
+                              "box S { A and B sub D; } "
+                              "box S { C sub B; } box S { Top sub A; }",
 }
 
 
 def late_twins(store) -> list:
     """The facts `store` derives after a strict generalization of theirs,
-    a copy with the top at some of their generalizable positions (a Top
-    subject, `*` for a standpoint), that are no premise of a stored fact:
-    the engine stores such a twin only as the premise of a later fact."""
+    a copy with the top at some of their generalizable positions (Top for
+    a subject or D, `*` for a standpoint), that are no premise of a stored
+    fact: the engine stores such a twin only as the premise of a later
+    fact."""
     used = {p for _, premises in store.provenance for p in premises}
     late = []
     for fid, fact in enumerate(store.facts):

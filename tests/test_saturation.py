@@ -366,22 +366,19 @@ def test_seed_order_is_reachability_with_cycles_unordered(graph):
 
 def reference_generalization(fact, up, stored):
     """A strict generalization of the interned `fact` in `stored`, or None,
-    by probing every copy: Top for its subject and a standpoint of its
-    up-set at each standpoint position, Top-subject copies first."""
+    by probing every copy: Top or itself for its subject and D, and a
+    standpoint of its up-set at each standpoint position. The (subject, D)
+    pairs are probed as (Top, D), (C, D), (Top, Top), (C, Top)."""
     shape = fact[0]
     top = saturation._TOP
     if shape == "gci_nested":
         _, t, c, s, d, e = fact
-        if c != top:
+        for c2, d2 in ((top, d), (c, d), (top, top), (c, top)):
             for t2 in up[t]:
                 for s2 in up[s]:
-                    if (shape, t2, top, s2, d, e) in stored:
-                        return shape, t2, top, s2, d, e
-        for t2 in up[t]:
-            for s2 in up[s]:
-                if (shape, t2, c, s2, d, e) in stored and (t2 != t
-                                                            or s2 != s):
-                    return shape, t2, c, s2, d, e
+                    if (shape, t2, c2, s2, d2, e) in stored and (
+                            (t2, c2, s2, d2) != (t, c, s, d)):
+                        return shape, t2, c2, s2, d2, e
     elif shape not in ("sharper", "sharper_intersection"):
         for u in up[fact[1]][1:]:
             if (shape, u) + fact[2:] in stored:
@@ -395,8 +392,9 @@ def test_indexed_generalization_lookup_matches_probing(data):
     """On random interned stores of gci_nested, gci_con_left and ria2 facts
     over up to 5 standpoints, 4 concepts and 2 roles, with the seed order
     of a random sharpening graph, the run's lookup, indexed by the
-    positions no generalization moves, returns for every fact of that
-    space, stored or not, what probing every copy returns."""
+    positions no standpoint generalization moves, returns for every fact
+    of that space, stored or not, what probing every copy returns: with
+    Top or itself at the subject and at D."""
     star, top, bot = saturation._STAR, saturation._TOP, saturation._BOT
     standpoints = [star] + [10 + k for k in range(data.draw(st.integers(
         0, 4)))]
@@ -446,18 +444,20 @@ def seed_order(store):
 def test_every_derivation_replays_with_twin_premises(merged_kb):
     """Every provenance entry replays, including those of the implicit
     facts that saturation stores only as premises: a Top-twin derived by
-    C.2 from a tautology and its stored Top-subject twin, and a sharpening
-    twin derived by S.3 or S.4 from its stored copy at a standpoint u
-    above its own in the seed order and sharper(s, u): the T.1 seed for u
-    = `*`, an input fact or an S.1 chain of them for a named u."""
+    C.2 from a tautology and its stored Top-subject twin, a D-twin derived
+    by C.1 from the tautology with Top for E and its copy with Top for D,
+    and a sharpening twin derived by S.3 or S.4 from its stored copy at a
+    standpoint u above its own in the seed order and sharper(s, u): the
+    T.1 seed for u = `*`, an input fact or an S.1 chain of them for a
+    named u. Each store holds a Top-twin and a D-twin."""
     stores = [saturate(prep(merged_kb), early_exit_on_refutation=False)]
     stores += [saturate(prep(generate_kb(seed, TINY_PARAMS)),
                         early_exit_on_refutation=False)
-               for seed in (1, 7, 18, 23, 31)]
+               for seed in (0, 6, 9, 10, 18)]
     twin_steps = []
     for out in stores:
         up = seed_order(out)
-        steps = {"C.2": 0, "S.3": 0, "S.4": 0, "named": 0}
+        steps = {"C.2": 0, "C.1": 0, "S.3": 0, "S.4": 0, "named": 0}
         for fid, (rule, premise_ids) in enumerate(out.provenance):
             if rule == INPUT_RULE:
                 continue
@@ -470,6 +470,9 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
                 continue  # a tautology's derivation
             steps["C.2"] += (rule == "C.2" and fact[2] != TOPC
                              and premises[1] == fact[:2] + (TOPC,) + fact[3:])
+            steps["C.1"] += (rule == "C.1" and fact[4] != TOPC
+                             and premises == [fact[:5] + (TOPC,),
+                                              fact[:4] + (TOPC,) + fact[5:]])
             # the compiled joins never lift a fact along the seed order by
             # S.3 or S.4: the conclusion is implied
             for k, name in ((1, "S.3"), (3, "S.4")):
@@ -484,6 +487,7 @@ def test_every_derivation_replays_with_twin_premises(merged_kb):
                     steps["named"] += u != UNIVERSAL
         twin_steps.append(steps)
     assert all(steps["C.2"] for steps in twin_steps), twin_steps
+    assert all(steps["C.1"] for steps in twin_steps), twin_steps
     assert sum(steps["S.3"] for steps in twin_steps), twin_steps
     assert sum(steps["S.4"] for steps in twin_steps), twin_steps
     assert sum(steps["named"] for steps in twin_steps), twin_steps
@@ -530,10 +534,10 @@ def test_every_derivation_replays_with_twins_at_meets(example1_kb,
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     """The walk over the fact list joins no premise-only fact. A fact with
     a stored strict generalization when the walk reached it is skipped: a
-    gci_nested fact whose copy with a Top subject, or with a standpoint
-    above its own in the run's seed sharpening order (at the outer
-    standpoint, the inner one or both, with or without a Top subject), is
-    stored, or a fact of another shape S.3 lifts whose copy at a standpoint
+    gci_nested fact whose copy with a Top subject or D, or with a
+    standpoint above its own in the run's seed sharpening order (at the
+    outer standpoint, the inner one or both, with or without a Top subject
+    or D), is stored, or a fact of another shape S.3 lifts whose copy at a standpoint
     above is. So is every tautology (D = E or E = Top), which saturation
     stores only as the premise of a stored fact. Each join is wrapped; the
     generalization check runs on the first join of each fact reached, as
@@ -544,7 +548,7 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     wrapped, first_calls, late, tautologies, lifts = {}, set(), [], [], []
 
     def generalizations(fact, up):
-        spots = {"gci_nested": ((1, None), (2, top), (3, None)),
+        spots = {"gci_nested": ((1, None), (2, top), (3, None), (4, top)),
                  "sharper": (), "sharper_intersection": ()}.get(
                      fact[0], ((1, None),))
         choices = [[term] for term in fact]
@@ -579,8 +583,8 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     assert late == []
     assert tautologies == []
     # some fact reached has a generalization at a named standpoint: more
-    # than the Top-subject and `*` copies (at most 7)
-    assert max(lifts) > 7
+    # than the copies with Top and `*` (at most 15)
+    assert max(lifts) > 15
     # the run stores premise-only tautologies, `*`-twins and twins below a
     # named standpoint, so the walk did reach some
     up = seed_order(out)
@@ -610,7 +614,7 @@ def test_join_variants_stay_few():
 def test_dispatch_lists_the_variants_each_key_admits():
     """For every shape and key, `_dispatch` lists exactly the planned
     variants, in rule order, whose reached premise admits the key: some
-    fact it matches, with no twin's subject variable bound to Top, has the
+    fact it matches, with no twin's variable bound to Top, has the
     key's Top subject, Top at D and Bot at E (gci_nested), or any fact
     (the others, key ()). Together the keys list each variant planned
     from a premise of the shape. Each fact tried has a concept of every
@@ -631,11 +635,13 @@ def test_dispatch_lists_the_variants_each_key_admits():
                     admitted.add((rule, plan))
                     continue
                 i = plan.start
-                pat = plan.premises[i]
-                if i in plan.twins:
-                    pat = pat[:2] + (TOPC,) + pat[3:]
-                not_top = {plan.premises[j][2].name for j in plan.twins
-                           if isinstance(plan.premises[j][2], Var)}
+                pat = list(plan.premises[i])
+                for j, k in plan.twins:
+                    if j == i:
+                        pat[k] = TOPC
+                pat = tuple(pat)
+                not_top = {plan.premises[j][k].name for j, k in plan.twins
+                           if isinstance(plan.premises[j][k], Var)}
                 for fact in nested:
                     subst = unify(pat, fact, {})
                     if subst is not None and (
