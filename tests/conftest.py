@@ -40,11 +40,11 @@ def informative_closure(facts, universes):
     each concept of the universe (Top-twins and D-twins, one position or
     both), and an outer or inner standpoint u by each standpoint s with
     sharper(s, u) among `facts` (sharpening twins, one position or both;
-    every standpoint for `*`); and without
-    the tautologies (D = E or E = Top). Saturation leaves all these
-    implicit, so which of them a store holds depends on the order of its
-    input facts; this set does not. The sharper facts of a saturated set
-    are never implicit, so they give the whole order."""
+    every standpoint for `*`); and without the tautologies (D = E or
+    E = Top). Saturation leaves all these implicit, so which of them a
+    store holds depends on the order of its input facts; this set does
+    not. The sharper facts of a saturated set are never implicit, so they
+    give the whole order."""
     below = {}
     for fact in facts:
         if fact[0] == "sharper":

@@ -537,8 +537,8 @@ def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
     gci_nested fact whose copy with a Top subject or D, or with a
     standpoint above its own in the run's seed sharpening order (at the
     outer standpoint, the inner one or both, with or without a Top subject
-    or D), is stored, or a fact of another shape S.3 lifts whose copy at a standpoint
-    above is. So is every tautology (D = E or E = Top), which saturation
+    or D), is stored, or a fact of another shape S.3 lifts whose copy at a
+    standpoint above is. So is every tautology (D = E or E = Top), which saturation
     stores only as the premise of a stored fact. Each join is wrapped; the
     generalization check runs on the first join of each fact reached, as
     it was reached, over the up-sets the run gives its joins, and the
