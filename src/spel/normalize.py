@@ -56,12 +56,11 @@ class FreshNameFactory:
     the rewrite rule that asked for the name, and a global counter.
     """
 
-    def __init__(self, prefix: str = RESERVED_PREFIX) -> None:
-        self.prefix = prefix
+    def __init__(self) -> None:
         self.counter = 0
 
     def fresh(self, rule: int | str) -> str:
-        name = f"{self.prefix}{rule}_{self.counter:04d}"
+        name = f"{RESERVED_PREFIX}{rule}_{self.counter:04d}"
         self.counter += 1
         return name
 

@@ -113,8 +113,8 @@ class _Budget:
     def __init__(self, steps: int) -> None:
         self.left = steps
 
-    def tick(self, n: int = 1) -> None:
-        self.left -= n
+    def tick(self) -> None:
+        self.left -= 1
         if self.left < 0:
             raise _OutOfBudget
 

@@ -142,9 +142,9 @@ class FactStore:
     def __len__(self) -> int:
         return len(self.facts)
 
-    def add(self, fact: Fact, rule: str = INPUT_RULE,
-            premises: tuple[int, ...] = ()) -> int | None:
-        """Store `fact`; returns its new id, or None if already present."""
+    def add(self, fact: Fact) -> int | None:
+        """Store the input fact `fact`; returns its new id, or None if
+        already present."""
         if fact in self.fact_ids:
             return None
         if fact[0] not in FACT_SHAPES:
@@ -152,7 +152,7 @@ class FactStore:
         fid = len(self.facts)
         self.facts.append(fact)
         self.fact_ids[fact] = fid
-        self.provenance.append((rule, premises))
+        self.provenance.append((INPUT_RULE, ()))
         self.by_shape.setdefault(fact[0], []).append(fact)
         return fid
 

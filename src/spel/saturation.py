@@ -66,14 +66,11 @@ on the facts that hold it.
 Each run interns its universes' terms to integers in tables of its own
 (only `*`, Top and Bot, which the compiled joins hold, have fixed ids),
 so runs share no mutable state and may go on side by side in threads. It
-keeps its store in plain locals: the fact list, ids and provenance, and
-per key of the positions no standpoint generalization moves (`_unmoved`:
-(C, D, E) for a gci_nested fact) the number of facts stored there. The
+keeps its store in plain locals: the fact list, ids and provenance. The
 test for a stored generalization (`_generalization_lookup`) probes the
-up-sets only under a key that holds a stored fact other than the fact
-itself: for a gci_nested fact, under (C, D, E) and the keys with Top for
-C, D or both. The run decodes its store into a `FactStore` once at the
-end.
+fact ids for the fact's copies with Top for its subject or D and with
+standpoints above its own. The run decodes its store into a `FactStore`
+once at the end.
 
 The universes fix the fact space (`preprocess.FACT_SHAPES`), and an input
 fact naming a term outside them is an error. So a run is bounded by the
@@ -258,27 +255,14 @@ def _generalizes(general: tuple, fact: tuple) -> bool:
                                                                     fact)))
 
 
-def _unmoved(fact: tuple) -> tuple | None:
-    """The key under which a run counts an interned fact's stored copies
-    at other standpoints: (C, D, E) for a gci_nested fact, the shape and
-    the positions after the outer standpoint for a shape S.3 lifts, None
-    for the others."""
-    shape = fact[0]
-    if shape == "gci_nested":
-        return fact[2], fact[4], fact[5]
-    return fact[:1] + fact[2:] if shape in _GENERAL_IDS else None
-
-
-def _generalization_lookup(up: dict, stored: dict, count: dict):
-    """The run's lookup general_of(fact, is_stored=False) of a strict
-    generalization of the interned `fact` in `stored`, or None: a copy with
-    Top for its subject or D, or with a standpoint of the up-set `up` of
-    its own at each standpoint position (`_GENERAL`). A gci_nested fact's
-    (C, D) is probed as (Top, d), (c, d), (Top, Top), (c, Top), each over
-    every pair of standpoints. `count` maps each key (`_unmoved`) to the
-    number of facts stored there: a (C, D) whose key has no stored fact
-    but the fact itself (`is_stored` tells whether it is one) is
-    skipped."""
+def _generalization_lookup(up: dict, stored: dict):
+    """The run's lookup general_of(fact) of a strict generalization of the
+    interned `fact` in `stored`, or None: a copy with Top for its subject
+    or D, or with a standpoint of the up-set `up` of its own at each
+    standpoint position (`_GENERAL`). A gci_nested fact's (C, D) is probed
+    as (Top, d), (c, d), (Top, Top), (c, Top), each over every pair of
+    standpoints, but the fact's own at (c, d); so a stored fact is not its
+    own generalization."""
 
     def above(ts, ss, c, d, e) -> tuple | None:
         for t2 in ts:
@@ -287,30 +271,29 @@ def _generalization_lookup(up: dict, stored: dict, count: dict):
                     return "gci_nested", t2, c, s2, d, e
         return None
 
-    def general_of(fact: tuple, is_stored: bool = False) -> tuple | None:
+    def general_of(fact: tuple) -> tuple | None:
         shape = fact[0]
         if shape == "gci_nested":
             _, t, c, s, d, e = fact
             ts, ss = up[t], up[s]
             found = None
-            if c != _TOP and (_TOP, d, e) in count:
+            if c != _TOP:
                 found = above(ts, ss, _TOP, d, e)
-            if found is None and count.get((c, d, e), 0) > is_stored:
-                # every pair of standpoints but the fact's own
+            if found is None and len(ts) + len(ss) > 2:
+                # every pair of standpoints but the fact's own, if any
                 found = (above(ts[:1], ss[1:], c, d, e)
                          or above(ts[1:], ss, c, d, e))
             if found is None and d != _TOP:
-                if c != _TOP and (_TOP, _TOP, e) in count:
+                if c != _TOP:
                     found = above(ts, ss, _TOP, _TOP, e)
-                if found is None and (c, _TOP, e) in count:
+                if found is None:
                     found = above(ts, ss, c, _TOP, e)
             return found
         if shape in _GENERAL_IDS:
             rest = fact[2:]
-            if count.get(fact[:1] + rest, 0) > is_stored:
-                for u in up[fact[1]][1:]:
-                    if (shape, u) + rest in stored:
-                        return (shape, u) + rest
+            for u in up[fact[1]][1:]:
+                if (shape, u) + rest in stored:
+                    return (shape, u) + rest
         return None
 
     return general_of
@@ -454,7 +437,7 @@ def _compile_join(rule: Rule, plan: _Plan):
     None for a join without one). `index(shape, positions)` gives the run's
     index tables of the facts reached so far; `maps` holds its nominal,
     self-loop and seed order maps (`UP`, `MEET`), the probes of a subject
-    or D (`ALT_C`) and `GENERAL`, its indexed lookup of a stored strict
+    or D (`ALT_C`) and `GENERAL`, its lookup of a stored strict
     generalization of a conclusion (`_generalization_lookup`)."""
     i, premises, conclusion = plan.start, plan.premises, plan.conclusion
     twins, opened = plan.twins, set(plan.open)
@@ -790,13 +773,10 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
 
     refutation = intern_fact(REFUTATION_FACT)
-    # The run's store: its facts in id order, their ids and provenance, and
-    # per key of the positions no generalization moves (`_unmoved`), the
-    # number of facts stored there.
+    # The run's store: its facts in id order, their ids and provenance.
     facts: list[tuple] = []
     fact_ids: dict[tuple, int] = {}
     provenance: list[tuple[str, tuple[int, ...]]] = []
-    count: dict[tuple, int] = {}
     premise_only: set[int] = set()
 
     def add(fact: tuple, rule_name: str, premises: tuple) -> None:
@@ -805,9 +785,6 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
         fact_ids[fact] = len(facts)
         facts.append(fact)
         provenance.append((rule_name, premises))
-        key = _unmoved(fact)
-        if key is not None:
-            count[key] = count.get(key, 0) + 1
 
     def check_limit() -> None:
         if len(fact_ids) > limit:
@@ -852,7 +829,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
             raise _Stop
 
     # a stored strict generalization of a fact, or None
-    general_of = maps["GENERAL"] = _generalization_lookup(up, fact_ids, count)
+    general_of = maps["GENERAL"] = _generalization_lookup(up, fact_ids)
 
     def derive(fact: tuple) -> None:
         """Store an implicit fact with its canonical derivation, as a
@@ -924,7 +901,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                 if shape == "gci_nested" and (fact[4] == fact[5]
                                               or fact[5] == _TOP):
                     continue  # a tautology: matched implicitly
-                if general_of(fact, True) is not None:
+                if general_of(fact) is not None:
                     continue  # a stored generalization's joins cover it
                 if shape == "gci_nested":
                     kind = (shape, fact[2] == _TOP, fact[4] == _TOP,
@@ -953,7 +930,7 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
     # Decode into a readable store; ids and provenance carry over as they
     # are, and every fact is listed by shape. The run's ids and indexes are
     # released first, so that they do not add to the peak.
-    del add, fact_ids, count, general_of, maps
+    del add, fact_ids, general_of, maps
     out = FactStore(uni.copy())
     out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]]) for f in facts]
     out.fact_ids = dict(zip(out.facts, range(len(out.facts))))

@@ -4,7 +4,8 @@ Two parameter presets are used by the acceptance tests: `NORMALIZE_PARAMS`
 exercises the full statement grammar (negation, diamonds, monomials,
 role chains, nested modal concepts), while `TINY_PARAMS` keeps the
 vocabulary small enough for the brute-force model finder to be exact
-within bounds (3, 3).
+within bounds (3, 3). A third, `SCALE_PARAMS`, makes KBs larger than the
+fixtures for the saturation tests (`scale_kb`).
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ NORMALIZE_PARAMS = GenParams(max_statements=6, max_depth=3, n_standpoints=3,
                              n_concepts=4, n_roles=2, n_individuals=2)
 TINY_PARAMS = GenParams(max_statements=4, max_depth=2, n_standpoints=2,
                         n_concepts=2, n_roles=1, n_individuals=2)
+#: `scale_kb` draws exactly `max_statements` statements of it
+SCALE_PARAMS = GenParams(max_statements=40, max_depth=2, n_standpoints=6,
+                         n_concepts=20, n_roles=3, n_individuals=3,
+                         allow_negation=False)
 
 
 def _concept(rng: random.Random, p: GenParams, depth: int):
@@ -118,3 +123,10 @@ def generate_kb(seed: int, params: GenParams = NORMALIZE_PARAMS
     rng = random.Random(seed)
     count = rng.randint(1, params.max_statements)
     return make_kb(_statement(rng, params) for _ in range(count))
+
+
+def scale_kb(seed: int) -> KnowledgeBase:
+    """A KB of `SCALE_PARAMS`, with exactly `max_statements` statements."""
+    rng = random.Random(seed)
+    return make_kb(_statement(rng, SCALE_PARAMS)
+                   for _ in range(SCALE_PARAMS.max_statements))

@@ -47,8 +47,8 @@ from spel.saturation import (
 )
 
 from conftest import informative_closure
-from genkb import TINY_PARAMS, generate_kb
-from test_reference_fixpoint import ORDER_KBS
+from genkb import TINY_PARAMS, generate_kb, scale_kb
+from test_reference_fixpoint import ORDER_KBS, late_twins
 
 
 def fresh_store(facts=(), **uni):
@@ -388,13 +388,13 @@ def reference_generalization(fact, up, stored):
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.data())
-def test_indexed_generalization_lookup_matches_probing(data):
+def test_generalization_lookup_matches_probing(data):
     """On random interned stores of gci_nested, gci_con_left and ria2 facts
     over up to 5 standpoints, 4 concepts and 2 roles, with the seed order
-    of a random sharpening graph, the run's lookup, indexed by the
-    positions no standpoint generalization moves, returns for every fact
+    of a random sharpening graph, the run's lookup returns for every fact
     of that space, stored or not, what probing every copy returns: with
-    Top or itself at the subject and at D."""
+    Top or itself at the subject and at D, in the same order, and never
+    the fact itself."""
     star, top, bot = saturation._STAR, saturation._TOP, saturation._BOT
     standpoints = [star] + [10 + k for k in range(data.draw(st.integers(
         0, 4)))]
@@ -412,13 +412,9 @@ def test_indexed_generalization_lookup_matches_probing(data):
                                                       roles)]
     stored = dict.fromkeys(data.draw(st.lists(st.sampled_from(space),
                                               max_size=150)))
-    count = {}
-    for fact in stored:
-        key = saturation._unmoved(fact)
-        count[key] = count.get(key, 0) + 1
-    general_of = saturation._generalization_lookup(up, stored, count)
+    general_of = saturation._generalization_lookup(up, stored)
     for fact in space:
-        assert general_of(fact, fact in stored) == reference_generalization(
+        assert general_of(fact) == reference_generalization(
             fact, up, stored), fact
 
 
@@ -529,6 +525,24 @@ def test_every_derivation_replays_with_twins_at_meets(example1_kb,
                 lifted.append(fid)
         used = {p for _, premise_ids in out.provenance for p in premise_ids}
         assert lifted and used.issuperset(lifted), kb
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scale_kb_closure_is_bounded_and_replays(seed):
+    """The full closures of 40-statement KBs (`SCALE_PARAMS`: 32-66
+    standpoints with the witness ones, larger than any fixture) stay
+    within the polynomial fact bound, every provenance entry replays
+    through `apply_rule`, and no twin of an earlier fact is stored except
+    as a premise."""
+    out = saturate(prep(scale_kb(seed)), early_exit_on_refutation=False)
+    assert len(out) <= polynomial_fact_bound(out.universes)
+    for fid, (rule, premise_ids) in enumerate(out.provenance):
+        if rule == INPUT_RULE:
+            continue
+        premises = [out.facts[p] for p in premise_ids]
+        assert out.facts[fid] in apply_rule(rule, premises, out.universes), \
+            f"fact {fid} fails replay under {rule}"
+    assert late_twins(out) == []
 
 
 def test_popped_fact_with_stored_twin_is_not_joined(monkeypatch, example1_kb):
