@@ -49,18 +49,25 @@ from .model import (
 )
 
 
+#: The prefix of the fresh names of a statement normalized alone, to be
+#: added to a KB normalized before: its names never meet the KB's.
+FORK_PREFIX = RESERVED_PREFIX + "f"
+
+
 class FreshNameFactory:
     """Deterministic source of names disjoint from any user vocabulary.
 
-    Emitted names look like ``_g31_0007``: reserved prefix, the number of
-    the rewrite rule that asked for the name, and a global counter.
+    Emitted names look like ``_g31_0007``: `prefix` (the reserved prefix,
+    or `FORK_PREFIX`), the number of the rewrite rule that asked for the
+    name, and a counter from 0.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, prefix: str = RESERVED_PREFIX) -> None:
+        self.prefix = prefix
         self.counter = 0
 
     def fresh(self, rule: int | str) -> str:
-        name = f"{RESERVED_PREFIX}{rule}_{self.counter:04d}"
+        name = f"{self.prefix}{rule}_{self.counter:04d}"
         self.counter += 1
         return name
 
@@ -259,10 +266,14 @@ def _run_phase(statements, step, fresh, budget) -> list[Statement]:
     return done
 
 
-def normalize(kb: KnowledgeBase) -> KnowledgeBase:
+def normalize(kb: KnowledgeBase, prefix: str = RESERVED_PREFIX
+              ) -> KnowledgeBase:
     """Full normalization; output satisfies `is_normal_form` and is an
-    equisatisfiable conservative extension of the input."""
-    fresh = FreshNameFactory()
+    equisatisfiable conservative extension of the input. Its fresh names
+    start with `prefix`. Each statement is rewritten on its own, so the
+    normal form of a KB plus a statement is that of the KB plus that of
+    the statement alone, up to fresh names."""
+    fresh = FreshNameFactory(prefix)
     out = kb
     for step in (_phase1_step, _phase2_step):
         budget = MAX_APPLICATIONS_PER_SIZE * max(size(out), 1)

@@ -12,7 +12,8 @@ the concept universe.
 Assertions are encoded through nominals; every statement of a normal-form
 KB maps to exactly one seed fact. `add_witness_axioms` then adds, for each
 diamond target and each individual, the three facts that give the diamond
-an addressable witness standpoint.
+an addressable witness standpoint, named by the target and the individual
+(`witness_names`).
 """
 
 from __future__ import annotations
@@ -108,6 +109,27 @@ class Universes:
         return sorted(members, key=lambda m: (m != UNIVERSAL and m != TOPC,
                                               repr(m)))
 
+    def add_terms(self, fact: Fact) -> None:
+        """Register each term of `fact` in the universe of its position's
+        kind, with the nominal of an individual and the self-loop concept
+        of a role, as `to_extended_facts` registers a vocabulary."""
+        for term, (_, kind) in zip(fact[1:], FACT_SHAPES[fact[0]]):
+            self.add(kind, term)
+
+    def add(self, kind: str, term) -> None:
+        if kind == _C:
+            self.concepts.add(term)
+            if term[0] in NESTED_TAGS:
+                self.add(NESTED_TAGS[term[0]], term[1])
+        elif kind == _S:
+            self.standpoints.add(term)
+        elif kind == _R:
+            self.roles.add(term)
+            self.concepts.add(("self", term))
+        else:
+            self.individuals.add(term)
+            self.concepts.add(("nom", term))
+
     def copy(self) -> "Universes":
         return Universes(
             set(self.standpoints),
@@ -164,6 +186,23 @@ class FactStore:
         out.by_shape = {k: list(v) for k, v in self.by_shape.items()}
         out.partial = self.partial
         return out
+
+
+def format_term(term) -> str:
+    """A term as the .spel syntax writes it: a standpoint, role or
+    individual as its name, an extended concept as its concept."""
+    if isinstance(term, tuple):
+        if term == TOPC:
+            return "Top"
+        if term == BOTC:
+            return "Bot"
+        if term[0] == "cn":
+            return term[1]
+        if term[0] == "nom":
+            return "{%s}" % term[1]
+        if term[0] == "self":
+            return f"Self({term[1]})"
+    return str(term)
 
 
 # ---------------------------------------------------------------------------
@@ -244,27 +283,45 @@ def to_extended_facts(kb: KnowledgeBase) -> FactStore:
     return store
 
 
-def add_witness_axioms(store: FactStore) -> FactStore:
-    """Add, per (diamond target dia_s B, individual a), a fresh witness
-    standpoint below s and a fresh marker concept tying a's B-membership
-    under s to a dedicated precisification set. Returns a new store."""
-    out = store.copy()
-    targets = sorted(
-        {(f[3], f[4]) for f in store.by_shape.get("gci_dia_right", ())},
-        key=repr,
-    )
-    individuals = sorted(store.universes.individuals)
-    n = 0
+def diamond_targets(facts) -> set[tuple[str, ExtConcept]]:
+    """The diamond targets (s, B) of the gci_dia_right facts among
+    `facts`: their dia_s B."""
+    return {(f[3], f[4]) for f in facts if f[0] == "gci_dia_right"}
+
+
+def witness_names(s: str, b: ExtConcept, a: str) -> tuple[str, str]:
+    """The witness standpoint and marker concept name of the diamond target
+    dia_s B and the individual a. They are named by the three, so adding a
+    target to a store leaves every other witness's names as they are."""
+    key = f"{RESERVED_PREFIX}w({s},{format_term(b)},{a})"
+    return key + "_sp", key + "_p"
+
+
+def witness_facts(targets, individuals) -> list[Fact]:
+    """Per diamond target dia_s B of `targets` and individual a of
+    `individuals`, the three facts that give the diamond an addressable
+    witness: a fresh witness standpoint below s, and a fresh marker concept
+    tying a's B-membership under s to the precisifications of the
+    witness."""
+    facts = []
     for s, b in targets:
         for a in individuals:
-            sp = f"{RESERVED_PREFIX}w{n}_sp"
-            p = f"{RESERVED_PREFIX}w{n}_p"
-            n += 1
-            out.universes.standpoints.add(sp)
-            out.universes.concepts.add(("cn", p))
-            out.add(("sharper", sp, s))
-            out.add(("gci_nested", UNIVERSAL, ("nom", a), s, b, ("cn", p)))
-            out.add(("gci_nested", UNIVERSAL, ("cn", p), sp, TOPC, b))
+            sp, p = witness_names(s, b, a)
+            facts += [("sharper", sp, s),
+                      ("gci_nested", UNIVERSAL, ("nom", a), s, b, ("cn", p)),
+                      ("gci_nested", UNIVERSAL, ("cn", p), sp, TOPC, b)]
+    return facts
+
+
+def add_witness_axioms(store: FactStore) -> FactStore:
+    """Add the witness axioms (`witness_facts`) of the diamond targets of
+    `store` and the individuals of its universes. Returns a new store."""
+    out = store.copy()
+    targets = sorted(diamond_targets(store.by_shape.get("gci_dia_right", ())),
+                     key=repr)
+    for fact in witness_facts(targets, sorted(store.universes.individuals)):
+        out.universes.add_terms(fact)
+        out.add(fact)
     return out
 
 

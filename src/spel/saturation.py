@@ -63,14 +63,17 @@ whether its subject is Top, its D is Top and its E is Bot
 (`_KIND_SPOTS`), so a variant with one of these constants there runs only
 on the facts that hold it.
 
-Each run interns its universes' terms to integers in tables of its own
-(only `*`, Top and Bot, which the compiled joins hold, have fixed ids),
-so runs share no mutable state and may go on side by side in threads. It
-keeps its store in plain locals: the fact list, ids and provenance. The
-test for a stored generalization (`_generalization_lookup`) probes the
-fact ids for the fact's copies with Top for its subject or D and with
-standpoints above its own. The run decodes its store into a `FactStore`
-once at the end.
+Each run (`Saturation`) interns its universes' terms to integers in
+tables of its own (only `*`, Top and Bot, which the compiled joins hold,
+have fixed ids), so runs share no mutable state and may go on side by
+side in threads. Its walk keeps the store in plain locals: the fact list,
+ids and provenance. The test for a stored generalization
+(`_generalization_lookup`) probes the fact ids for the fact's copies with
+Top for its subject or D and with standpoints above its own. `saturate`
+walks one run to its end and decodes its store into a `FactStore`. A run
+walked to its fixpoint can also be copied and extended with more input
+facts over the same universes, and walks on from there: the refutation
+subchecks of `reasoner` fork one saturated base this way.
 
 The universes fix the fact space (`preprocess.FACT_SHAPES`), and an input
 fact naming a term outside them is an error. So a run is bounded by the
@@ -80,8 +83,9 @@ a lower limit. Both count stored facts, and the error says which tripped.
 
 from __future__ import annotations
 
+import copy
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
 from operator import itemgetter
 from typing import NamedTuple
@@ -93,11 +97,13 @@ from .preprocess import (
     KINDS,
     Fact,
     FactStore,
+    INPUT_RULE,
     NESTED_TAGS,
     PreprocessError,
     REFUTATION_FACT,
     TOPC,
     Universes,
+    format_term,
 )
 from .rules import (RULES, Rule, Var, instantiate_conclusion, is_nested,
                     pattern_vars, resolve, unify)
@@ -732,169 +738,355 @@ class _Stop(Exception):
     pass
 
 
-def saturate(store: FactStore, early_exit_on_refutation: bool = True,
-             fact_limit: int | None = None) -> FactStore:
-    """Closure of `store` under all rules, less its implicit facts that
-    are no premise of a stored one; returns a new store. With
-    `early_exit_on_refutation` the run may stop as soon as the refutation
-    fact appears (the result is then marked partial). Raises
-    PreprocessError when an input fact names a term outside the store's
-    universes, and FactLimitExceeded when more facts are stored than the
-    polynomial bound or `fact_limit` allows."""
-    uni = store.universes
-    bound = polynomial_fact_bound(uni)
-    limit = bound if fact_limit is None else min(bound, fact_limit)
+def _key_of(positions: tuple[int, ...]):
+    """The key of an index table on `positions`: the value at the one
+    position, or the tuple of values at several (the empty tuple for
+    none)."""
+    return itemgetter(*positions) if positions else (lambda fact: ())
 
-    # This run's interning tables, fixed by the universes: term <-> id,
-    # each kind's ids, and the maps between a nominal (self-loop) concept
-    # id and its individual (role) id. `*` and Top lead their ranges: they
-    # are the values an implicit premise takes where any value will do.
-    term_ids = dict(_FIXED_IDS)
-    ranges: dict = {}
-    for kind in KINDS:
-        ranges[kind] = [term_ids.setdefault(t, len(term_ids))
-                        for t in uni.of(kind)]
-        ranges[("any", kind)] = ranges[kind][:1]
-    terms = list(term_ids)
-    members = {kind: set(ranges[kind]) for kind in KINDS}
-    maps: dict[str, object] = {
-        name: {} for pair in _NESTED_MAPS.values() for name in pair}
-    for c in uni.concepts:
-        if is_nested(c):
-            down, up = _NESTED_MAPS[c[0]]
-            inner = term_ids.get(c[1], -1)
-            if inner not in members[NESTED_TAGS[c[0]]]:
-                raise PreprocessError(f"concept {format_term(c)} names a "
-                                      "term outside the universes")
-            maps[down][term_ids[c]] = inner
-            maps[up][inner] = term_ids[c]
 
-    def intern_fact(fact: Fact) -> tuple:
-        return (fact[0],) + tuple([term_ids.get(t, -1) for t in fact[1:]])
+class Saturation:
+    """One run of the engine over a fact store, which can be resumed and
+    copied: `walk` goes on to the fixpoint (or, with early exit, the
+    refutation), `extend` adds input facts to a run walked that far, and
+    `fork` copies it. `store` decodes its facts and provenance.
 
-    refutation = intern_fact(REFUTATION_FACT)
-    # The run's store: its facts in id order, their ids and provenance.
-    facts: list[tuple] = []
-    fact_ids: dict[tuple, int] = {}
-    provenance: list[tuple[str, tuple[int, ...]]] = []
-    premise_only: set[int] = set()
+    The run keeps its interned facts, their ids and provenance, the
+    premise-only ids, its seed order and the index tables of the facts
+    the walk has reached. A run walked to its fixpoint and then extended
+    walks on semi-naively: each fact added joins the facts reached
+    before, which joined each other already. The universes stay as they
+    are, so a join that ranges over them has nothing new to range over.
+    A standpoint that no input fact of the run has named yet joins the
+    seed order right below the first standpoint an added sharper fact puts
+    it below; every other added sharper fact is walked as an ordinary
+    fact, as the ones S.2 derives are. So the up-sets and meets of the
+    standpoints already ordered stay as the joins before used them, and
+    only the facts reached before that name a standpoint put in the order
+    are joined again.
 
-    def add(fact: tuple, rule_name: str, premises: tuple) -> None:
-        if fact in fact_ids:
+    A fork shares with its run only what neither changes: the universes,
+    the interning tables, and the buckets of the index tables, each of
+    which a run copies before it first appends to it. So forks of one run
+    may be extended and walked side by side in threads."""
+
+    def __init__(self, store: FactStore, early_exit_on_refutation: bool = True,
+                 fact_limit: int | None = None) -> None:
+        uni = self.universes = store.universes
+        bound = polynomial_fact_bound(uni)
+        self._limit = bound if fact_limit is None else min(bound, fact_limit)
+        self._at_bound = self._limit == bound
+        self._early_exit = early_exit_on_refutation
+
+        # This run's interning tables, fixed by the universes: term <-> id,
+        # each kind's ids, and the maps between a nominal (self-loop)
+        # concept id and its individual (role) id. `*` and Top lead their
+        # ranges: they are the values an implicit premise takes where any
+        # value will do.
+        term_ids = self._term_ids = dict(_FIXED_IDS)
+        ranges = self._ranges = {}
+        for kind in KINDS:
+            ranges[kind] = [term_ids.setdefault(t, len(term_ids))
+                            for t in uni.of(kind)]
+            ranges[("any", kind)] = ranges[kind][:1]
+        self._terms = list(term_ids)
+        self._members = {kind: set(ranges[kind]) for kind in KINDS}
+        maps: dict[str, object] = {
+            name: {} for pair in _NESTED_MAPS.values() for name in pair}
+        for c in uni.concepts:
+            if is_nested(c):
+                down, up = _NESTED_MAPS[c[0]]
+                inner = term_ids.get(c[1], -1)
+                if inner not in self._members[NESTED_TAGS[c[0]]]:
+                    raise PreprocessError(f"concept {format_term(c)} names "
+                                          "a term outside the universes")
+                maps[down][term_ids[c]] = inner
+                maps[up][inner] = term_ids[c]
+        # the alternative keys a bound subject or D is probed with: the
+        # concept and Top
+        maps["ALT_C"] = {t: (t, _TOP) if t != _TOP else (t,)
+                         for t in ranges["concept"]}
+        self._maps = maps
+
+        self._refutation = self._intern(REFUTATION_FACT)
+        # The run's store: its facts in id order, their ids and provenance,
+        # and the ids of the facts stored as premises only.
+        self.facts: list[tuple] = []
+        self.fact_ids: dict[tuple, int] = {}
+        self.provenance: list[tuple[str, tuple[int, ...]]] = []
+        self._premise_only: set[int] = set()
+        inputs = self._inputs(store.facts)
+        for fact, (rule, premises) in zip(inputs, store.provenance):
+            self._add(fact, rule, premises)
+        for rule in RULES:
+            if not rule.premises and not is_tautology(rule.conclusion):
+                for fact in instantiate_conclusion(rule, {}, uni):
+                    self._add(self._intern(fact), rule.name, ())
+        self._check_limit()
+        self._order = _seed_order(ranges["standpoint"], [
+            fact for fact in inputs if fact[0] == "sharper"])
+        #: the standpoints no input fact has named, which may join the order
+        self._unnamed = set(ranges["standpoint"]) - self._named(inputs)
+        self._unnamed.discard(_STAR)
+
+        # The index tables, by (shape, positions), of the facts the walk has
+        # reached and joined (`_key_of`); a table made during the walk
+        # starts with the facts of its shape reached so far.
+        self._tables: dict[tuple, dict] = {}
+        #: per table whose buckets the run may share with a fork (`fork`),
+        #: the keys of the buckets it has copied, which it owns
+        self._owned: dict[tuple, set] = {}
+        self._joined: dict[str, list] = {shape: [] for shape in FACT_SHAPES}
+        #: the id of the next fact the walk reaches, and the ids of facts
+        #: reached before that it joins again first
+        self._reached = 0
+        self._rejoin: list[int] = []
+        #: whether the walk stopped at the refutation fact
+        self.stopped = False
+
+    def __len__(self) -> int:
+        return len(self.facts)
+
+    @property
+    def refuted(self) -> bool:
+        return self._refutation in self.fact_ids
+
+    def _intern(self, fact: Fact) -> tuple:
+        return (fact[0],) + tuple([self._term_ids.get(t, -1)
+                                   for t in fact[1:]])
+
+    def _inputs(self, facts) -> list[tuple]:
+        """`facts` interned, each checked to be of a known shape over the
+        universes."""
+        out = []
+        for fact in facts:
+            positions = FACT_SHAPES.get(fact[0])
+            if positions is None:
+                raise PreprocessError(f"input fact {format_fact(fact)} has "
+                                      "an unknown shape")
+            interned = self._intern(fact)
+            if any(t not in self._members[kind]
+                   for t, (_, kind) in zip(interned[1:], positions)):
+                raise PreprocessError(f"input fact {format_fact(fact)} names "
+                                      "a term outside the universes")
+            out.append(interned)
+        return out
+
+    @staticmethod
+    def _named(facts) -> set[int]:
+        """The standpoints the interned `facts` name."""
+        return {t for fact in facts
+                for t, (_, kind) in zip(fact[1:], FACT_SHAPES[fact[0]])
+                if kind == "standpoint"}
+
+    def _add(self, fact: tuple, rule_name: str, premises: tuple) -> None:
+        if fact not in self.fact_ids:
+            self.fact_ids[fact] = len(self.facts)
+            self.facts.append(fact)
+            self.provenance.append((rule_name, premises))
+
+    def _check_limit(self) -> None:
+        if len(self.fact_ids) > self._limit:
+            raise FactLimitExceeded(len(self.fact_ids), self._limit,
+                                    self._at_bound)
+
+    def fork(self) -> "Saturation":
+        """A copy of the run: extending and walking either leaves the other
+        as it is."""
+        twin = copy.copy(self)
+        twin.facts = list(self.facts)
+        twin.fact_ids = dict(self.fact_ids)
+        twin.provenance = list(self.provenance)
+        twin._premise_only = set(self._premise_only)
+        twin._unnamed = set(self._unnamed)
+        twin._rejoin = list(self._rejoin)
+        # the buckets are shared, and each run copies one before it first
+        # appends to it
+        twin._tables = {key: dict(table) for key, table in self._tables.items()}
+        self._owned = {key: set() for key in self._tables}
+        twin._owned = {key: set() for key in self._tables}
+        twin._joined = {shape: list(facts)
+                        for shape, facts in self._joined.items()}
+        return twin
+
+    def extend(self, facts) -> None:
+        """Add the input facts `facts`, over the run's universes, to be
+        walked next. A standpoint no input fact named before joins the seed
+        order right below the standpoint that the first added sharper fact
+        puts it below (not itself or `*`), when that one is not waiting to
+        join too; the facts reached before that name it are joined again."""
+        added = self._inputs(facts)
+        for fact in added:
+            self._add(fact, INPUT_RULE, ())
+        self._check_limit()
+        parents: dict[int, int] = {}
+        for fact in added:
+            if (fact[0] == "sharper" and fact[1] in self._unnamed
+                    and fact[2] not in (fact[1], _STAR)):
+                parents.setdefault(fact[1], fact[2])
+        self._unnamed -= self._named(added)
+        placed = self._place(parents)
+        if placed:
+            facts, premise_only = self.facts, self._premise_only
+            self._rejoin += [fid for fid in range(self._reached)
+                             if fid not in premise_only
+                             and not placed.isdisjoint(facts[fid])]
+
+    def _place(self, parents: dict[int, int]) -> set[int]:
+        """Put each standpoint of `parents` in the seed order right below
+        its parent, parents first; those in a cycle of parents stay out.
+        Returns the standpoints put in. One put in lies below the up-set of
+        its parent and above nothing, so every other up-set stays as it is,
+        and so does the meet of every two other standpoints: its parent lies
+        below both and above it."""
+        order = self._order
+        up, meet, edges = dict(order.up), dict(order.meet), dict(order.edges)
+        waiting = dict(parents)
+        placed: set[int] = set()
+        while True:
+            ready = [s for s, u in waiting.items() if u not in waiting]
+            if not ready:
+                break
+            for s in ready:
+                u = waiting.pop(s)
+                up[s] = (s,) + up[u]
+                edges[s] = [u]
+                meet[s] = {w: (s,) for w in up[s]}
+                for w in up[u]:
+                    meet[w] = {**meet[w], s: (s,)}
+                placed.add(s)
+        if placed:
+            self._order = _Order(up, meet, edges)
+        return placed
+
+    def walk(self) -> None:
+        """Reach every fact not reached yet, in id order, with the facts
+        their joins append, until the fixpoint or, with early exit, the
+        refutation fact."""
+        if self.stopped:
             return
-        fact_ids[fact] = len(facts)
-        facts.append(fact)
-        provenance.append((rule_name, premises))
+        facts, fact_ids = self.facts, self.fact_ids
+        provenance, premise_only = self.provenance, self._premise_only
+        limit, at_bound = self._limit, self._at_bound
+        early_exit, refutation = self._early_exit, self._refutation
+        ranges, order = self._ranges, self._order
+        if early_exit and refutation in fact_ids:
+            self.stopped = True
+            return
 
-    def check_limit() -> None:
-        if len(fact_ids) > limit:
-            raise FactLimitExceeded(len(fact_ids), limit, limit == bound)
+        def add(fact: tuple, rule_name: str, premises: tuple) -> None:
+            if fact in fact_ids:
+                return
+            fact_ids[fact] = len(facts)
+            facts.append(fact)
+            provenance.append((rule_name, premises))
 
-    for fid, fact in enumerate(store.facts):
-        positions = FACT_SHAPES.get(fact[0])
-        if positions is None:
-            raise PreprocessError(f"input fact {format_fact(fact)} has an "
-                                  "unknown shape")
-        interned = intern_fact(fact)
-        if any(t not in members[kind]
-               for t, (_, kind) in zip(interned[1:], positions)):
-            raise PreprocessError(f"input fact {format_fact(fact)} names a "
-                                  "term outside the universes")
-        rule, premises = store.provenance[fid]
-        add(interned, rule, premises)
-    for rule in RULES:
-        if not rule.premises and not is_tautology(rule.conclusion):
-            for fact in instantiate_conclusion(rule, {}, uni):
-                add(intern_fact(fact), rule.name, ())
-    check_limit()
+        def check_limit() -> None:
+            if len(fact_ids) > limit:
+                raise FactLimitExceeded(len(fact_ids), limit, at_bound)
 
-    # The seed order's maps, and the alternative keys a bound subject or D
-    # is probed with: the concept and Top.
-    order = _seed_order(ranges["standpoint"], [
-        intern_fact(f) for f in store.by_shape.get("sharper", ())])
-    up = order.up
-    maps.update(UP=up, MEET=order.meet,
-                ALT_C={t: (t, _TOP) if t != _TOP else (t,)
-                       for t in ranges["concept"]})
-
-    stopped = False
-
-    def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
-        for p in premises:
-            if p not in fact_ids:
-                derive(p)
-        add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
-        check_limit()
-        if early_exit_on_refutation and concl == refutation:
-            raise _Stop
-
-    # a stored strict generalization of a fact, or None
-    general_of = maps["GENERAL"] = _generalization_lookup(up, fact_ids)
-
-    def derive(fact: tuple) -> None:
-        """Store an implicit fact with its canonical derivation, as a
-        premise only: the walk skips it. A sharper fact of the seed order
-        is stored by S.1 along input sharper facts instead, and walked."""
-        if fact[0] == "sharper":
-            path = _sharpening_path(order, fact[1], fact[2])
-            for n in range(len(path) - 3, -1, -1):
-                add(("sharper", path[n], path[-1]), "S.1", (
-                    fact_ids["sharper", path[n], path[n + 1]],
-                    fact_ids["sharper", path[n + 1], path[-1]]))
+        def emit(concl: tuple, premises: tuple, rule_name: str) -> None:
+            for p in premises:
+                if p not in fact_ids:
+                    derive(p)
+            add(concl, rule_name, tuple([fact_ids[p] for p in premises]))
             check_limit()
-            return
-        tautology = fact[0] == "gci_nested" and (fact[4] == fact[5]
-                                                 or fact[5] == _TOP)
-        rule_name, premises = _implicit_step(
-            fact, None if tautology else general_of(fact))
-        for p in premises:
-            if p not in fact_ids:
-                derive(p)
-        premise_only.add(len(facts))
-        add(fact, rule_name, tuple([fact_ids[p] for p in premises]))
-        check_limit()
+            if early_exit and concl == refutation:
+                raise _Stop
 
-    # The run's index tables, by (shape, positions): the value at the one
-    # position, or the tuple of values at several (the empty tuple for
-    # none), to the facts the walk has reached and joined. A table made
-    # during the walk starts with the facts of its shape reached so far.
-    tables: dict[tuple, dict] = {}
-    tables_of: dict[str, list] = {}
-    joined: dict[str, list] = {shape: [] for shape in FACT_SHAPES}
+        # a stored strict generalization of a fact, or None
+        general_of = _generalization_lookup(order.up, fact_ids)
+        maps = dict(self._maps, UP=order.up, MEET=order.meet,
+                    GENERAL=general_of)
 
-    def index(shape: str, positions: tuple[int, ...]) -> dict:
-        table = tables.get((shape, positions))
-        if table is None:
-            table = tables[shape, positions] = {}
-            key_of = itemgetter(*positions) if positions else (
-                lambda fact: ())
-            tables_of.setdefault(shape, []).append((key_of, table))
-            for fact in joined[shape]:
-                table.setdefault(key_of(fact), []).append(fact)
-        return table
+        def derive(fact: tuple) -> None:
+            """Store an implicit fact with its canonical derivation, as a
+            premise only: the walk skips it. A sharper fact of the seed order
+            is stored by S.1 along input sharper facts instead, and walked."""
+            if fact[0] == "sharper":
+                path = _sharpening_path(order, fact[1], fact[2])
+                for n in range(len(path) - 3, -1, -1):
+                    add(("sharper", path[n], path[-1]), "S.1", (
+                        fact_ids["sharper", path[n], path[n + 1]],
+                        fact_ids["sharper", path[n + 1], path[-1]]))
+                check_limit()
+                return
+            tautology = fact[0] == "gci_nested" and (fact[4] == fact[5]
+                                                     or fact[5] == _TOP)
+            rule_name, premises = _implicit_step(
+                fact, None if tautology else general_of(fact))
+            for p in premises:
+                if p not in fact_ids:
+                    derive(p)
+            premise_only.add(len(facts))
+            add(fact, rule_name, tuple([fact_ids[p] for p in premises]))
+            check_limit()
 
-    # per compiled join, this run's instance: one serves every kind
-    made: dict = {}
+        tables, joined = self._tables, self._joined
+        # per shape, its tables, and those whose buckets may be shared, with
+        # the keys of the buckets the run owns
+        tables_of: dict[str, list] = {}
+        shared_of: dict[str, list] = {}
+        for (shape, positions), table in tables.items():
+            owned = self._owned.get((shape, positions))
+            if owned is None:
+                tables_of.setdefault(shape, []).append((_key_of(positions),
+                                                        table))
+            else:
+                shared_of.setdefault(shape, []).append((_key_of(positions),
+                                                        table, owned))
 
-    def instances(kind: tuple | None) -> list:
-        """This run's instances of the joins of `kind`."""
-        fns = []
-        for make in _joins(kind):
-            fn = made.get(make)
-            if fn is None:
-                fn = made[make] = make(index, fact_ids, ranges, emit, **maps)
-            fns.append(fn)
-        return fns
+        def index(shape: str, positions: tuple[int, ...]) -> dict:
+            table = tables.get((shape, positions))
+            if table is None:
+                table = tables[shape, positions] = {}
+                key_of = _key_of(positions)
+                tables_of.setdefault(shape, []).append((key_of, table))
+                for fact in joined[shape]:
+                    table.setdefault(key_of(fact), []).append(fact)
+            return table
 
-    if not (early_exit_on_refutation and refutation in fact_ids):
+        # per compiled join, this walk's instance: one serves every kind
+        made: dict = {}
+
+        def instances(kind: tuple | None) -> list:
+            """This walk's instances of the joins of `kind`."""
+            fns = []
+            for make in _joins(kind):
+                fn = made.get(make)
+                if fn is None:
+                    fn = made[make] = make(index, fact_ids, ranges, emit,
+                                           **maps)
+                fns.append(fn)
+            return fns
+
         # per kind, the joins made when the walk first reaches one
         joins: dict[tuple, list] = {}
+        start = self._reached
         try:
-            for fn in instances(None):
-                fn(None, -1)
+            if start == 0:  # the joins without a fact reached run once
+                for fn in instances(None):
+                    fn(None, -1)
+            # facts reached before, joined again with every fact reached
+            for fid in self._rejoin:
+                fact = facts[fid]
+                if fact[0] == "gci_nested" and (fact[4] == fact[5]
+                                                or fact[5] == _TOP):
+                    continue
+                if general_of(fact) is not None:
+                    continue
+                kind = (("gci_nested", fact[2] == _TOP, fact[4] == _TOP,
+                         fact[5] == _BOT) if fact[0] == "gci_nested"
+                        else (fact[0],))
+                fns = joins.get(kind)
+                if fns is None:
+                    fns = joins[kind] = instances(kind)
+                for fn in fns:
+                    fn(fact, start - 1)
+            self._rejoin = []
             # The fact list is the worklist: the loop also reaches the
             # facts appended while it runs.
-            for fid, fact in enumerate(facts):
+            for fid, fact in enumerate(islice(facts, start, None), start):
                 if fid in premise_only:
                     continue
                 shape = fact[0]
@@ -916,29 +1108,53 @@ def saturate(store: FactStore, early_exit_on_refutation: bool = True,
                         table[key] = [fact]
                     else:
                         bucket.append(fact)
+                for key_of, table, owned in shared_of.get(shape, ()):
+                    key = key_of(fact)
+                    if key in owned:
+                        table[key].append(fact)
+                    else:
+                        table[key] = table.get(key, []) + [fact]
+                        owned.add(key)
                 fns = joins.get(kind)
                 if fns is None:
                     fns = joins[kind] = instances(kind)
                 for fn in fns:
                     fn(fact, fid)
         except _Stop:
-            stopped = True
-        del joins, made, tables, tables_of, joined  # the run's indexes
-    else:
-        stopped = True
+            self.stopped = True
+        self._reached = len(facts)
 
-    # Decode into a readable store; ids and provenance carry over as they
-    # are, and every fact is listed by shape. The run's ids and indexes are
-    # released first, so that they do not add to the peak.
-    del add, fact_ids, general_of, maps
-    out = FactStore(uni.copy())
-    out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]]) for f in facts]
-    out.fact_ids = dict(zip(out.facts, range(len(out.facts))))
-    out.provenance = provenance
-    for fact in out.facts:
-        out.by_shape.setdefault(fact[0], []).append(fact)
-    out.partial = stopped
-    return out
+    def store(self) -> FactStore:
+        """The run's facts and provenance, decoded into a readable store;
+        ids and provenance carry over as they are, and every fact is listed
+        by shape."""
+        terms = self._terms
+        out = FactStore(self.universes.copy())
+        out.facts = [(f[0],) + tuple([terms[t] for t in f[1:]])
+                     for f in self.facts]
+        out.fact_ids = dict(zip(out.facts, range(len(out.facts))))
+        out.provenance = list(self.provenance)
+        for fact in out.facts:
+            out.by_shape.setdefault(fact[0], []).append(fact)
+        out.partial = self.stopped
+        return out
+
+
+def saturate(store: FactStore, early_exit_on_refutation: bool = True,
+             fact_limit: int | None = None) -> FactStore:
+    """Closure of `store` under all rules, less its implicit facts that
+    are no premise of a stored one; returns a new store. With
+    `early_exit_on_refutation` the run may stop as soon as the refutation
+    fact appears (the result is then marked partial). Raises
+    PreprocessError when an input fact names a term outside the store's
+    universes, and FactLimitExceeded when more facts are stored than the
+    polynomial bound or `fact_limit` allows."""
+    run = Saturation(store, early_exit_on_refutation, fact_limit)
+    run.walk()
+    # the run's ids and indexes are released before decoding, so that
+    # they do not add to the peak
+    run.fact_ids = run._tables = run._joined = None
+    return run.store()
 
 
 def is_refuted(store: FactStore) -> bool:
@@ -979,21 +1195,6 @@ def stored_form(store: FactStore, fact: Fact) -> Fact | None:
 # ---------------------------------------------------------------------------
 # Trace export
 # ---------------------------------------------------------------------------
-
-def format_term(term) -> str:
-    if isinstance(term, tuple):
-        if term == TOPC:
-            return "Top"
-        if term == BOTC:
-            return "Bot"
-        if term[0] == "cn":
-            return term[1]
-        if term[0] == "nom":
-            return "{%s}" % term[1]
-        if term[0] == "self":
-            return f"Self({term[1]})"
-    return str(term)
-
 
 def format_fact(fact: Fact) -> str:
     return f"{fact[0]}({', '.join(format_term(t) for t in fact[1:])})"

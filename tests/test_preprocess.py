@@ -29,6 +29,7 @@ from spel.preprocess import (
     prep,
     statement_to_fact,
     to_extended_facts,
+    witness_names,
 )
 
 
@@ -120,6 +121,24 @@ def test_witness_axioms_count():
     assert len(fresh_sp) == 2
     for sp in fresh_sp:
         assert ("sharper", sp, "u") in out
+
+
+def test_adding_a_target_keeps_the_other_witness_names():
+    """Witness names are keyed by the diamond target and the individual:
+    a store with one more target, sorting first, gives each witness of the
+    others the name and the facts it had."""
+    facts = [boxed("s", GCI(Name("A"), Modal("dia", "u", Name("B")))),
+             boxed("s", ConceptAssertion(Name("A"), "a")),
+             boxed("s", ConceptAssertion(Name("A"), "b"))]
+    one = add_witness_axioms(to_extended_facts(make_kb(facts)))
+    more = add_witness_axioms(to_extended_facts(make_kb(
+        facts + [boxed("s", GCI(Name("A"), Modal("dia", "a0", Name("B"))))])))
+    # the new target's fact, and three witness facts per individual
+    assert set(one.facts) <= set(more.facts)
+    assert len(more) == len(one) + 1 + 2 * 3
+    assert witness_names("u", ("cn", "B"), "a") == ("_gw(u,B,a)_sp",
+                                                    "_gw(u,B,a)_p")
+    assert ("sharper", "_gw(u,B,a)_sp", "u") in more
 
 
 def test_no_diamond_no_witnesses():

@@ -177,22 +177,10 @@ def test_tiny_kbs_with_a_modal_filler_clash_are_unsat(seed):
     assert check_sat(generate_kb(seed, TINY_PARAMS)).verdict == UNSAT
 
 
-#: (seed, statement index) pairs whose self-entailment raises: the
-#: diamond-monomial search normalizes the already normalized KB again,
-#: and the second normalization's fresh names collide with the first's
-#: (fault (a); see ROADMAP.md)
-FRESH_NAME_CLASHES = {(16, 0), (16, 2), (24, 1), (53, 0)}
-#: tiny seeds 0-59, but for the three whose self-entailment takes 0.5 s or
-#: more (4, 12 and 40), to keep this suite short
-SELF_SEEDS = [seed for seed in range(60) if seed not in (4, 12, 40)]
-
-
 def _self_cases():
-    for seed in SELF_SEEDS:
+    for seed in range(60):
         for n in range(len(generate_kb(seed, TINY_PARAMS).statements)):
-            marks = [pytest.mark.xfail(strict=True, raises=ValueError)
-                     ] if (seed, n) in FRESH_NAME_CLASHES else []
-            yield pytest.param(seed, n, id=f"{seed}-{n}", marks=marks)
+            yield pytest.param(seed, n, id=f"{seed}-{n}")
 
 
 @pytest.mark.parametrize("seed, n", _self_cases())
@@ -209,19 +197,21 @@ def test_closure_answers_example2_with_replayable_proofs(example1_kb,
     """Five Example 2 queries are read off one closure of example1 plus the
     queries' definitions; the facts each rests on, stored targets or
     their stored generalizations, replay through `apply_rule` down to the
-    input facts. `H & L <= 0` is left to refutation. The closure releases
-    its store once the last of its five queries is answered, and keeps its
-    fact count."""
+    input facts. `H & L <= 0` is left to refutation, a fork of the
+    closure's run. The closure keeps its store until that last query is
+    answered, then releases it and keeps its fact count."""
     queries = queries_kb.statements
     closure = query_closure(example1_kb, queries)
     answered, store = {}, None
-    for query in queries:
+    for query in queries[:5]:
         support = closure.support(query)
-        if store is None:
-            store = closure.store
-        if support is not None:
-            answered[query] = support[1]
-    assert list(answered) == list(queries[:5])
+        closure.answered()
+        store = closure.store
+        answered[query] = support[1]
+    assert closure.support(queries[5]) is None and closure.store is store
+    res = entails(example1_kb, queries[5], closure=closure)
+    assert (res.verdict, res.decided_by, len(res.subchecks)) == (
+        ENTAILED, REFUTATION, 1)
     assert closure.store is None and closure.fact_count == len(store)
     through_copy = 0
     for query, facts in answered.items():
@@ -320,13 +310,20 @@ def test_closure_holds_gcis_through_a_copy_with_top_for_d():
         assert (res.verdict, res.decided_by) == (ENTAILED, CLOSURE), query
 
 
-def test_closure_needs_two_queries_of_its_own():
+def test_closure_needs_two_queries():
+    """One query shares nothing. Two share one base, even when only one is
+    the closure's: the other is refuted from a fork of it."""
     kb = make_kb([boxed("s", ConceptAssertion(Name("A"), "a"))])
     own = boxed("s", ConceptAssertion(Name("A"), "a"))
     negated = ModalFormula(BOX, "s", (lit(ConceptAssertion(Name("B"), "a"),
                                           negated=True),))
-    assert query_closure(kb, [own, negated]) is None
-    assert query_closure(kb, [own, Sharpening(False, ("s",), UNIVERSAL)])
+    assert query_closure(kb, [own]) is None
+    closure = query_closure(kb, [own, negated])
+    assert list(closure.forms) == [own]
+    results = [entails(kb, query, closure=closure) for query in (own, negated)]
+    assert [(r.verdict, r.decided_by) for r in results] == [
+        (ENTAILED, CLOSURE), (NOT_ENTAILED, REFUTATION)]
+    assert closure.store is None and closure.fact_count > 0
 
 
 #: `box * { Top sub Zq; }`, over a concept no generated KB uses
@@ -336,10 +333,9 @@ FRESH_QUERY = boxed(UNIVERSAL, GCI(TOP, Name("Zq")))
 def test_shared_closure_agrees_with_each_query_alone():
     """Differential: over tiny seeds 0-59, each KB against its own
     statements, those of seed + 1000 and a fresh-name query, answering
-    with one shared closure gives each query the verdict it gets alone.
-    A query the closure leaves undecided is answered by the same
-    refutation as alone, so only the decided ones run twice. Queries
-    whose refutation raises (fault (a)) are skipped."""
+    with one shared closure, from what it holds or from forks of its run,
+    gives each query the verdict it gets alone, from forks of a base of
+    the KB alone."""
     decided = total = 0
     for seed in range(60):
         kb = generate_kb(seed, TINY_PARAMS)
@@ -348,17 +344,12 @@ def test_shared_closure_agrees_with_each_query_alone():
             + (FRESH_QUERY,)))
         closure = query_closure(kb, queries)
         for query in queries:
-            try:
-                shared = entails(kb, query, closure=closure)
-                alone = entails(kb, query) if shared.decided_by == CLOSURE \
-                    else shared
-            except ValueError as exc:
-                assert "declared with two kinds" in str(exc)
-                continue
+            shared = entails(kb, query, closure=closure)
+            alone = entails(kb, query)
+            assert alone.verdict == shared.verdict, (seed, query)
             total += 1
             if shared.decided_by == CLOSURE:
                 decided += 1
-                assert alone.verdict == shared.verdict == ENTAILED, (
-                    seed, query)
+                assert shared.verdict == ENTAILED, (seed, query)
     assert total >= 300
     assert 3 * decided >= total, (decided, total)
