@@ -12,18 +12,22 @@ allowed: either more than the environment variable SPEL_FACT_LIMIT allows
 (a cap for check/entail/saturate), or more than the polynomial fact
 bound, which is an internal invariant violation. The message on stderr
 says which.
+
+The argument parser is built once per process, on the first `main` call,
+and parses every later argv afresh. `oracle` and `export-datalog` import
+the model finder and the Datalog writer when they run, so importing this
+module loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 
-from . import oracle as oracle_mod
-from .datalog import write_program
 from .model import KnowledgeBase, occurring_vocabulary, size
 from .normalize import normalize
 from .parser import parse_kb, render_kb, render_statement
@@ -144,12 +148,14 @@ def _cmd_saturate(args):
 
 
 def _cmd_export_datalog(args):
+    from .datalog import write_program
     name = os.path.splitext(os.path.basename(args.file))[0]
     paths = write_program(prep(_load_kb(args.file)), args.out, name)
     return None, None, {"files": paths}, [f"wrote {p}" for p in paths]
 
 
 def _cmd_oracle(args):
+    from . import oracle as oracle_mod
     bounds = (_positive("--max-domain", args.max_domain),
               _positive("--max-prec", args.max_prec))
     found = oracle_mod.find_model(_load_kb(args.file), *bounds)
@@ -180,7 +186,10 @@ def _run(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call: built once, on first use. Parsing
+    keeps nothing on it, so calls, and threads, may share it."""
     parser = argparse.ArgumentParser(
         prog="spel",
         description="Satisfiability and entailment for standpoint EL+ "

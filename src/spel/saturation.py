@@ -20,7 +20,9 @@ Two kinds of fact are implicit, neither stored nor joined:
   standpoints that sharpen each other left unordered (`_seed_order`).
   Sharpenings that S.2 derives mid-walk are not in it.
 A join matches them instead. It generates a tautology premise from its
-bound variables (a join of tautologies only runs once, before the walk).
+bound variables, and gives each free variable that the conclusion does
+not read one value (a join of tautologies only runs once, before the
+walk).
 A planned variant matches a premise with an unbound subject or D through
 a stored fact with Top there, which stands for every value, and binds the
 variable later or ranges it over the universe. The compiled lookups match
@@ -596,14 +598,15 @@ def _compile_join(rule: Rule, plan: _Plan):
         run_guards()
 
     # Only the constant instance of a conclusion's generalizable position
-    # is needed: the others are its specializations.
+    # is needed: the others are its specializations. A generated premise
+    # holds for every value of a variable that the conclusion does not
+    # read, so such a variable takes one; a twin's variable, which skips
+    # Top, keeps its range.
     loose_conclusion = _lift(conclusion, _var_spots(conclusion))
-    for n, j in enumerate(generated):
-        later = [loose_conclusion] + [premises[k] for k in generated[n + 1:]]
-        needed = {var for pat in later for var, _ in pattern_vars(pat)}
+    needed = {var for var, _ in pattern_vars(loose_conclusion)} | not_top
+    for j in generated:
         for var, kind in pattern_vars(premises[j]):
             if var not in names:
-                # a variable nothing else reads takes any one value
                 key = kind if var in needed else ("any", kind)
                 loop(f"v_{var}", f"ranges[{key!r}]")
                 names[var] = f"v_{var}"

@@ -1,16 +1,18 @@
 """End-to-end tests for the `spel` command line interface."""
 
+import argparse
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import spel
 import spel.reasoner
-from spel import saturation
+from spel import cli, saturation
 from spel.cli import main
 from spel.model import occurring_vocabulary
 from spel.normalize import normalize
@@ -270,3 +272,102 @@ def test_role_free_saturation_compiles_part_of_the_joins():
              "print(used, len(made | set(saturation._joins(None))))\n")
     used, total = map(int, _python(probe).split())
     assert 0 < used < total
+
+
+def test_import_loads_neither_oracle_nor_datalog():
+    """`oracle` and `export-datalog` import the model finder and the
+    Datalog writer when they run, so importing the command-line module,
+    as every `spel check` and `spel entail` does, loads neither."""
+    probe = ("import sys\n"
+             "import spel.cli\n"
+             "print(sorted({'spel.oracle', 'spel.datalog'}\n"
+             "             & set(sys.modules)))\n")
+    assert _python(probe).strip() == "[]"
+
+
+# The parser is built once per process and shared by every `main` call.
+
+def test_trace_does_not_carry_over(capsys):
+    code, out, _ = run(capsys, "check", "--trace", MERGED)
+    assert code == 0
+    assert out.splitlines()[0] == "UNSAT" and "refutation trace:" in out
+    code, out, _ = run(capsys, "check", MERGED)
+    assert code == 0
+    assert out == "UNSAT\n"
+
+
+def test_entail_options_do_not_carry_over(capsys):
+    code, out, _ = run(capsys, "entail", "--format", "json", EXAMPLE1,
+                       "--query", QUERIES)
+    assert code == 0 and json.loads(out)["command"] == "entail"
+    code, out, _ = run(capsys, "check", EXAMPLE1)
+    assert code == 0
+    assert out == "SAT\n"
+
+
+def test_usage_error_help_and_check_each_give_their_own_exit(capsys):
+    code, out, err = run(capsys, "check", "--bogus", EXAMPLE1)
+    assert code == 1
+    assert out == "" and "unrecognized arguments: --bogus" in err
+    code, out, err = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: spel") and err == ""
+    code, out, err = run(capsys, "check", EXAMPLE1)
+    assert code == 0
+    assert (out, err) == ("SAT\n", "")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """The first `main` call builds the parser; later calls reuse it."""
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    counts = []
+    for argv in (["check", EXAMPLE1], ["check", "--trace", MERGED],
+                 ["normalize", EXAMPLE1]):
+        assert run(capsys, *argv)[0] == 0
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
+
+
+def test_threads_share_the_parser():
+    """Four threads parse their own argv 200 times each through the one
+    parser of every `main` call; each parse gives the namespace a
+    sequential parse gives, down to the command function."""
+    argvs = [["check", "--trace", EXAMPLE1],
+             ["entail", "--format", "json", EXAMPLE1, "--query", QUERIES],
+             ["oracle", "--max-domain", "2", MERGED],
+             ["export-datalog", EXAMPLE1, "--out", "dl"]]
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    expected = [vars(parser.parse_args(argv)) for argv in argvs]
+    assert len({e["func"] for e in expected}) == len(argvs)
+    mismatches: list = []
+    start = threading.Barrier(len(argvs))
+
+    def work(n):
+        start.wait()
+        for _ in range(200):
+            got = vars(cli.build_parser().parse_args(argvs[n]))
+            if got != expected[n]:
+                mismatches.append((n, got))
+
+    threads = [threading.Thread(target=work, args=(n,))
+               for n in range(len(argvs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the parse
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []

@@ -700,6 +700,51 @@ def test_joins_look_up_small_tables_first():
     assert "E.4" in reordered, reordered
 
 
+def test_generated_premises_take_one_value_the_conclusion_does_not_read(
+        monkeypatch):
+    """E.4 entered from gci_con_left(s, Top, c1, d), with both gci_nested
+    premises implicit tautologies, concludes box_t[b sub box_s[c1 => d]]
+    for every t and b. Only the instance with `*` and Top is needed, the
+    others being its specializations, so the loops over the tautologies'
+    free variables run once and each run of the join makes at most one
+    generalization lookup, however many standpoints and concepts the KB
+    has. (They ran over every t and b, which appear in the second
+    premise: 32 lookups in 8 runs here.)"""
+    targets = {saturation._compile_join(rule, plan)
+               for joins in saturation._dispatch("gci_con_left").values()
+               for rule, plan in joins
+               if rule.name == "E.4" and set(plan.implicit) == {0, 1}}
+    assert targets
+    joins = saturation._joins
+    wrapped, runs, lookups = {}, [], []
+
+    def watch(make):
+        def watched_make(index, fact_ids, ranges, emit, **maps):
+            general = maps["GENERAL"]
+
+            def counted(fact):
+                lookups.append(fact)
+                return general(fact)
+            fn = make(index, fact_ids, ranges, emit,
+                      **{**maps, "GENERAL": counted})
+
+            def watched(fact, fid):
+                runs.append(fact)
+                fn(fact, fid)
+            return watched
+        return wrapped.setdefault(make, watched_make)
+
+    monkeypatch.setattr(saturation, "_joins", lambda kind: tuple(
+        watch(make) if make in targets else make for make in joins(kind)))
+    kb = parse_kb("standpoint S0; standpoint S1; standpoint S2; concept A;"
+                  "concept B; concept C; concept D; role R; S1 <= S0;"
+                  "box S0 { ex R . (Top and A) sub B; C sub D; }"
+                  "box S2 { D sub A; } box * { B sub C; }")
+    saturate(prep(kb), early_exit_on_refutation=False)
+    assert runs and lookups
+    assert len(lookups) <= len(runs)
+
+
 def test_refutation_trace_replayable():
     kb = make_kb([boxed(UNIVERSAL, GCI(TOP, BOT))])
     out = saturate(prep(kb))
