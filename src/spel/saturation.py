@@ -25,8 +25,9 @@ not read one value (a join of tautologies only runs once, before the
 walk).
 A planned variant matches a premise with an unbound subject or D through
 a stored fact with Top there, which stands for every value, and binds the
-variable later or ranges it over the universe. The compiled lookups match
-the rest at run time:
+variable later or ranges it over the universe; such a twin variant is
+planned only where no other variant gives its conclusions (`_covered`).
+The compiled lookups match the rest at run time:
 - a bound subject or D is probed with itself and Top;
 - a standpoint variable first bound at an open position (generalizable,
   where the premise with the top is no generalization of the conclusion)
@@ -184,6 +185,18 @@ _GENERAL_IDS = {shape: tuple((k, _FIXED_IDS[c]) for k, c in spots)
 #: the gci_nested positions whose top is Top: a stored fact with Top there
 #: stands for every value, and a join matches it as a twin
 _TWIN_SPOTS = tuple(k for k, top in _GENERAL["gci_nested"] if top == TOPC)
+#: per shape, the positions where a fact with Top follows from its copies
+#: with any value (a gci_nested E; a diamond's or existential's D, by C.4
+#: and E.1 with an E = Top tautology), and where it stands for them (a
+#: gci_nested twin's; a diamond's subject, by C.3 with one)
+_TOP_FOLLOWS = dict(gci_nested=(5,), gci_dia_right=(4,), gci_ex_right=(4,))
+_TOP_STANDS = dict(gci_nested=_TWIN_SPOTS, gci_dia_right=(2,))
+#: (rule, premise, position) of the twins whose conclusions other variants
+#: give when no premise is implicit: A.6's by A.6 with an E = Top tautology
+#: and E.1, A.8's by A.6 and E.2, B.4's by B.2 twice, and E.4's at a
+#: conjunct's D by E.4 with the other conjunct a tautology, then C.1
+_COVERED_TWINS = {("A.6", 1, 2), ("A.8", 1, 2), ("B.4", 0, 2), ("E.4", 0, 4),
+                  ("E.4", 1, 4)}
 
 #: The gci_nested positions, with their constants, that key a fact's kind
 #: beyond its shape: whether its subject is Top, D is Top and E is Bot.
@@ -247,11 +260,6 @@ def _lift(fact: tuple, positions) -> tuple:
     spots = dict(_GENERAL.get(fact[0], ()))
     return tuple(spots.get(k, p) if k in positions else p
                  for k, p in enumerate(fact))
-
-
-def _var_spots(pat: tuple) -> list[int]:
-    """The generalizable positions of a pattern that hold a variable."""
-    return [k for k, _ in _GENERAL.get(pat[0], ()) if isinstance(pat[k], Var)]
 
 
 def _generalizes(general: tuple, fact: tuple) -> bool:
@@ -388,10 +396,9 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
     in `families` is an implicit tautology of the given family and each
     subject or D in `twins` is matched by a stored fact with Top there.
     None when no such instance exists, when each is implied (a tautology,
-    or a stored premise or a generalization of one), or when another
-    variant makes the same combinations: a twin's variable bound before is
-    probed, and one found elsewhere only at lifted positions may as well
-    be Top."""
+    or a stored premise or a generalization of one), when a twin's
+    variable is bound before (the probe's job), or when other variants
+    give a twin's conclusions (`_covered`)."""
     subst: dict | None = {}
     for j, family in families.items():
         subst = unify(*_TAUTOLOGY_FAMILIES[family](rule.premises[j]), subst)
@@ -404,7 +411,9 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
     matched = _matched(premises, twins)
     if is_tautology(conclusion) or any(
             _generalizes(matched[j], conclusion)
-            for j in range(len(premises)) if j not in families):
+            for j in range(len(premises)) if j not in families) or any(
+            _covered(rule, premises[j][k], matched, conclusion, families, j,
+                     k) for j, k in twins):
         return None
     # the join order: the reached premise, then the other stored ones,
     # those of the small tables before the large gci_nested ones
@@ -422,15 +431,26 @@ def _join_plan(rule: Rule, i: int | None, families: dict[int, str],
                     _lift(matched[j], (k,)), conclusion):
                 opened.append((j, k))
         bound.update(v for v, _ in pattern_vars(matched[j]))
-    loose = [_lift(p, range(len(p))) if j in families else q
-             for j, (p, q) in enumerate(zip(premises, matched))]
-    loose.append(_lift(conclusion, _var_spots(conclusion)))
-    elsewhere = {var for pat in loose for var, _ in pattern_vars(pat)}
-    if any(isinstance(premises[j][k], Var)
-           and premises[j][k].name not in elsewhere for j, k in twins):
-        return None
     return _Plan(i, tuple(order), premises, conclusion,
                  tuple(sorted(families)), tuple(twins), tuple(opened))
+
+
+def _covered(rule: Rule, x, matched: list, conclusion: tuple,
+             families: dict[int, str], j: int, k: int) -> bool:
+    """True when other variants give the conclusions of a twin `x` at
+    premise `j`'s position `k`, matched by `matched[j]`: x is a variable
+    held elsewhere only by implicit premises, `_TOP_FOLLOWS` and conclusion
+    `_TOP_STANDS` positions (the join with x = Top concludes what stands
+    for the twin's); I.2 takes `matched[j]` to a generalization of the
+    conclusion; or it is one of `_COVERED_TWINS`."""
+    return (isinstance(x, Var) and all(
+        m in families or n in _TOP_FOLLOWS.get(pat[0], ())
+        for m, pat in enumerate(matched) for n, p in enumerate(pat)
+        if p == x) and all(n in _TOP_STANDS.get(conclusion[0], ())
+                           for n, p in enumerate(conclusion) if p == x)
+            or matched[j][2] == TOPC and _generalizes(
+                ("gci_nested", UNIVERSAL, TOPC) + matched[j][3:], conclusion)
+            or not families and (rule.name, j, k) in _COVERED_TWINS)
 
 
 def _is_standpoint(shape: str, k: int) -> bool:
@@ -602,7 +622,8 @@ def _compile_join(rule: Rule, plan: _Plan):
     # holds for every value of a variable that the conclusion does not
     # read, so such a variable takes one; a twin's variable, which skips
     # Top, keeps its range.
-    loose_conclusion = _lift(conclusion, _var_spots(conclusion))
+    loose_conclusion = _lift(conclusion, [
+        k for k, p in enumerate(conclusion) if isinstance(p, Var)])
     needed = {var for var, _ in pattern_vars(loose_conclusion)} | not_top
     for j in generated:
         for var, kind in pattern_vars(premises[j]):
@@ -656,8 +677,8 @@ def _modes(rule: Rule, i: int | None):
     of `rule` from premise `i`: each gci_nested premise other than the
     reached one may be an implicit tautology, and each one may be matched
     by a stored fact with Top at its subject, its D or both, where it does
-    not hold Top. A join without a fact reached has only implicit
-    premises."""
+    not hold Top (a twin, kept unless `_covered`). A join without a fact
+    reached has only implicit premises."""
     options = []
     for j, pat in enumerate(rule.premises):
         choices: list[tuple[dict, tuple]] = [({}, ())]
@@ -670,8 +691,7 @@ def _modes(rule: Rule, i: int | None):
                             for twin in combinations(spots, n)]
         options.append(choices)
     for choice in product(*options):
-        families: dict[int, str] = {}
-        twins: tuple[tuple[int, int], ...] = ()
+        families, twins = {}, ()
         for family, twin in choice:
             families.update(family)
             twins += twin

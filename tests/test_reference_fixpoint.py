@@ -13,12 +13,16 @@ a fact of that shape that agrees with it on the bound positions is kept
 when `apply_rule` accepts the longer prefix.
 """
 
+import functools
 import itertools
 
+import pytest
+
+from spel import saturation
 from spel.parser import parse_kb
-from spel.preprocess import INPUT_RULE, REFUTATION_FACT, prep
+from spel.preprocess import FACT_SHAPES, INPUT_RULE, REFUTATION_FACT, prep
 from spel.rules import RULES, Rule, Var, apply_rule
-from spel.saturation import is_refuted, saturate
+from spel.saturation import saturate
 
 from conftest import GENERALIZABLE, informative_closure
 from genkb import TINY_PARAMS, generate_kb
@@ -112,6 +116,13 @@ def reference_fixpoint(store) -> set:
     return facts
 
 
+#: the start of the "E.4 late" KBs: E.4 gives {a} sub box_S[C => D],
+#: and C.1 gives C sub E at S late
+_E4_LATE = ("standpoint S; individual a; concept C1; concept C; concept D; "
+            "concept E; concept F; concept X; box S { C1(a); } "
+            "box S { C1 and C sub D; } box S { C sub X; } "
+            "box S { X sub E; } ")
+
 #: hand-made KBs for the seed sharpening order. In "E.2" and "A.5" the
 #: last input fact, a chain inclusion at SN, joins a premise at SN and one
 #: at H <= SN: the chain inclusion's standpoint, a ceiling, is lowered to
@@ -130,13 +141,25 @@ def reference_fixpoint(store) -> set:
 #: fact, C sub D at SN, is lowered by D sub E at H, and in "C.1 reversed"
 #: D sub E at SN by C sub D at H, so that each premise of C.1 holds the
 #: ceiling once. "chain" does both over two levels, M <= H <= SN.
-#: The last four hold a fact with Top for D, which stands for its copies
+#: The next eight hold a fact with Top for D, which stands for its copies
 #: with any D. In "L.2 self" it is Top sub ex R . Self, and L.2 gives
-#: C sub ex R . C for the named C, which ranges. In "E.1 late" it is
-#: reached after the gci_ex_right premise of E.1, whose D it stands for.
-#: In "E.4 one conjunct" it is Top sub A, and C sub B, reached last, finds
-#: it as the conjunct C sub A by probing Top for its bound D; in "E.4 one
-#: conjunct, last" Top sub A is reached last and stands for C sub A.
+#: C sub ex R . C for the named C, which ranges; in "L.1" the same fact
+#: has Top for its subject too, and L.1 gives R(a, a) and R(b, b). In
+#: "E.1 late" it is reached after the gci_ex_right premise of E.1, whose D
+#: it stands for. In "E.4 one conjunct" it is Top sub A, and C sub B,
+#: reached last, finds it as the conjunct C sub A by probing Top for its
+#: bound D; in "E.4 one conjunct, last" Top sub A is reached last and
+#: stands for C sub A, and in "E.4 second conjunct, last" for the second
+#: conjunct. In "C.3 Top for D" Top sub D stands for every C sub D, so C.3
+#: gives C sub dia S E for each C; in "nominal subject" Top sub C at T
+#: stands for {a} sub C.
+#: In the last four a fact with a nominal subject and a concept for D
+#: (a's witness fact of dia S B, or {a} sub box_S[C => D], which E.4
+#: gives from C1(a) and C1 and C sub D) is reached before a Top-subject
+#: fact that stands for its conjunct or the premise it chains to, derived
+#: late through a conjunction or a chain; in "E.4 late conjunction" the
+#: Top-subject conjunct C sub ex R . Self comes first, and the conjunction
+#: that L.3 gives from ex R . D sub F last.
 ORDER_KBS = {
     "E.2": "standpoint H; standpoint SN; H <= SN; concept C; concept D; "
            "concept E; box SN { C sub ex R . D; } box H { D sub ex R . E; } "
@@ -192,6 +215,29 @@ ORDER_KBS = {
                               "concept C; concept D; "
                               "box S { A and B sub D; } "
                               "box S { C sub B; } box S { Top sub A; }",
+    "E.4 second conjunct, last": "standpoint S; concept A; concept B; "
+                                 "concept C; concept D; "
+                                 "box S { B and A sub D; } "
+                                 "box S { C sub B; } box S { Top sub A; }",
+    "L.1": "standpoint S; individual a; individual b; "
+           "box S { Top sub ex R . Self; }",
+    "C.3 Top for D": "standpoint S; concept D; concept E; "
+                     "box S { D sub dia S E; } box S { Top sub D; }",
+    "nominal subject": "standpoint T; standpoint S; T <= S; individual a; "
+                       "concept B; concept C; box T { Top sub C; } "
+                       "box S { B(a); }",
+    "C.1 witness": "standpoint S; individual a; concept Q; concept B; "
+                   "concept G; concept X1; concept X2; "
+                   "box * { Q sub dia S B; } box S { G sub X1; } "
+                   "box S { G sub X2; } box S { X1 and X2 sub B; }",
+    "E.4 late Top subject": _E4_LATE + "box S { E and D sub F; }",
+    "E.4 late Top subject, second conjunct": _E4_LATE
+    + "box S { D and E sub F; }",
+    "E.4 late conjunction": "standpoint S; individual a; concept C1; "
+                            "concept C; concept D; concept F; "
+                            "box S { C1(a); } box S { C1 and C sub D; } "
+                            "box S { C sub ex R . Self; } "
+                            "box S { ex R . D sub F; }",
 }
 
 
@@ -215,17 +261,62 @@ def late_twins(store) -> list:
     return late
 
 
+#: the KBs the engine is checked against the reference on: tiny seeds by
+#: number and `ORDER_KBS` by name
+REFERENCE_KBS = SMALL_SEEDS + tuple(ORDER_KBS)
+
+
+@functools.cache
+def _store(name):
+    return prep(generate_kb(name, TINY_PARAMS) if isinstance(name, int)
+                else parse_kb(ORDER_KBS[name]))
+
+
+def _closure(facts, universes) -> tuple:
+    """Whether `facts` hold the refutation fact, and the informative
+    closure they stand for."""
+    return REFUTATION_FACT in facts, informative_closure(facts, universes)
+
+
+@functools.cache
+def _reference(name) -> tuple:
+    return _closure(reference_fixpoint(_store(name)), _store(name).universes)
+
+
 def test_engine_matches_reference_fixpoint():
     """The engine's closure stands for the reference's, and it stores no
     twin of an earlier fact except as a premise."""
-    stores = [prep(generate_kb(seed, TINY_PARAMS)) for seed in SMALL_SEEDS]
-    stores += [prep(parse_kb(text)) for text in ORDER_KBS.values()]
-    for seed, store in zip(SMALL_SEEDS + tuple(ORDER_KBS), stores):
-        engine = saturate(store, early_exit_on_refutation=False)
-        reference = reference_fixpoint(store)
-        assert is_refuted(engine) == (REFUTATION_FACT in reference), \
-            f"seed {seed}"
-        assert (informative_closure(engine.facts, engine.universes)
-                == informative_closure(reference, store.universes)), \
-            f"seed {seed}"
-        assert late_twins(engine) == [], f"seed {seed}"
+    for name in REFERENCE_KBS:
+        engine = saturate(_store(name), early_exit_on_refutation=False)
+        assert _closure(engine.facts, engine.universes) == _reference(name), \
+            f"KB {name}"
+        assert late_twins(engine) == [], f"KB {name}"
+
+
+#: the planned variants with a twin, by rule name and plan
+TWIN_VARIANTS = sorted({(rule.name, plan) for shape in FACT_SHAPES
+                        for joins in saturation._dispatch(shape).values()
+                        for rule, plan in joins if plan.twins},
+                       key=lambda v: (v[0], v[1].start, v[1].implicit,
+                                      v[1].twins))
+
+
+@pytest.mark.parametrize("variant", TWIN_VARIANTS, ids=lambda v: (
+    f"{v[0]} from {v[1].start}, implicit {list(v[1].implicit)}, "
+    f"twins {list(v[1].twins)}"))
+def test_every_planned_twin_variant_is_needed(variant, monkeypatch):
+    """Mutation guard: with any one planned twin variant left out, the
+    engine disagrees with the reference on some KB, so the planner keeps
+    no twin variant that the others cover, and the reference KBs tell
+    when a twin variant that is needed goes missing."""
+    dispatch = saturation._dispatch
+    monkeypatch.setattr(saturation, "_dispatch", lambda shape: {
+        key: [(rule, plan) for rule, plan in joins
+              if (rule.name, plan) != variant]
+        for key, joins in dispatch(shape).items()})
+    monkeypatch.setattr(saturation, "_joins",
+                        functools.cache(saturation._joins.__wrapped__))
+    assert any(_closure(engine.facts, engine.universes) != _reference(name)
+               for name in REFERENCE_KBS
+               for engine in [saturate(_store(name),
+                                       early_exit_on_refutation=False)])
